@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .dimer import DimerParams, evolve_analytic
+from .dimer import DimerParams, closed_form_state, param_tau_bar
 from .errors import InvalidConfig, InvalidParams, MqDimerError
 from .sweep import QUANTITIES, SweepConfig, run_sweep
 
@@ -93,9 +93,13 @@ def parse_quantities(text) -> tuple[str, ...]:
 
 
 def format_state(alpha: complex, beta: complex, b: float, tau_bar: float) -> str:
-    """Evolved density matrix rendered to 9 significant digits, row-major."""
+    """Evolved density matrix rendered to 9 significant digits, row-major.
+
+    tau_bar is rendered as given, NaN included; the state command checks
+    it with param_tau_bar before it gets here.
+    """
     p = DimerParams(alpha, beta, b)
-    rho = evolve_analytic(p, tau_bar=tau_bar)
+    rho = closed_form_state(p, float(tau_bar))
     lines = [
         f"rho at tau_bar={tau_bar:#.9g} for alpha={alpha}, beta={beta}, b={b:#.9g}"
     ]
@@ -213,10 +217,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "state":
         alpha = parse_amplitude(args.alpha)
         beta = parse_amplitude(args.beta)
-        if args.renormalize:
-            p = DimerParams.normalized(alpha, beta, args.b)
-            alpha, beta = p.alpha, p.beta
-        print(format_state(alpha, beta, args.b, args.tau_bar))
+        p = (DimerParams.normalized if args.renormalize else DimerParams)(alpha, beta, args.b)
+        print(format_state(p.alpha, p.beta, args.b, param_tau_bar(p, None, args.tau_bar)))
         return 0
     cfg = _sweep_config(args, PRESETS.get(args.command))
     for path in run_sweep(cfg):

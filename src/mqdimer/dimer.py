@@ -69,20 +69,26 @@ def _resolve_tau_bar(d, tau, tau_bar) -> float:
             raise InvalidParams("give tau or tau_bar, not both")
         if d is not None:
             raise InvalidParams("d is redundant when tau_bar is given")
-        return float(tau_bar)
+        return _finite_tau_bar(float(tau_bar))
     if tau is None or d is None:
         raise InvalidParams("give (d, tau) or tau_bar")
     d = float(d)
     if not math.isfinite(d) or d <= 0:
         raise InvalidParams(f"d must be finite and > 0, got {d!r}")
-    return d * float(tau)
+    return _finite_tau_bar(d * float(tau))
+
+
+def _finite_tau_bar(tb: float) -> float:
+    if not math.isfinite(tb):
+        raise InvalidParams(f"time must be finite, got tau_bar = {tb!r}")
+    return tb
 
 
 def param_tau_bar(p: DimerParams, tau, tau_bar) -> float:
     """Dimensionless time for closed forms parametrized by DimerParams."""
     if (tau is None) == (tau_bar is None):
         raise InvalidParams("give exactly one of tau or tau_bar")
-    return p.d * float(tau) if tau is not None else float(tau_bar)
+    return _finite_tau_bar(p.d * float(tau) if tau is not None else float(tau_bar))
 
 
 def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
@@ -143,7 +149,15 @@ def evolve_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> np.ndarray:
     Equal to evolve_numeric(initial_state(p), ...) up to roundoff; this is
     the reference expression the numeric path is checked against.
     """
-    tb = param_tau_bar(p, tau, tau_bar)
+    return closed_form_state(p, param_tau_bar(p, tau, tau_bar))
+
+
+def closed_form_state(p: DimerParams, tb: float) -> np.ndarray:
+    """evolve_analytic at a dimensionless time tb that is taken as given.
+
+    No check on tb: a NaN time gives a NaN matrix. Callers that take a
+    time from outside resolve it with param_tau_bar first.
+    """
     w0, w1 = p.thermal_weights
     a2 = abs(p.alpha) ** 2
     b2 = abs(p.beta) ** 2

@@ -1,10 +1,13 @@
 """Projective measurements on one spin, conditional entropy, quantum discord.
 
 The measured spin is selectable (default: spin 2, the thermal one). All
-entropies are in bits. The conditional-entropy minimizer is deterministic:
-a fixed spherical grid followed by Nelder-Mead refinement from the best
-five grid points, with stable tie-breaking, so repeated runs are
-bit-identical.
+entropies are in bits. Measuring the projector Pi_n = (I + n.sigma)/2
+leaves the unmeasured spin in the partial trace over the measured spin of
+rho Pi_n, which is affine in n, so one kernel call evaluates the
+conditional entropy for a whole batch of directions. The minimizer is
+deterministic: a fixed spherical grid, then one compass search that
+refines the best five grid points together, with stable tie-breaking, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,20 +16,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dimer import require_state
 from .errors import BadSubsystemId, NotUnitVector
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, von_neumann_entropy
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, von_neumann_entropy
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
 GRID_THETA = 64
 GRID_PHI = 128
 REFINE_STARTS = 5
+REFINE_STEP_MIN = 1e-10
+REFINE_MAX_ROUNDS = 400
 Q_CLAMP = 1e-9
 
-_PAULI_STACK = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI_BASIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+#: compass stencil in (theta, phi): axis steps first, then diagonals
+_STENCIL = np.array(
+    [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
+)
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,26 @@ class DiscordResult:
 
 def direction(theta: float, phi: float) -> np.ndarray:
     """Unit Bloch vector from polar angle theta and azimuth phi."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    return _directions(np.array([[theta, phi]], dtype=float))[0]
+
+
+def _directions(angles: np.ndarray) -> np.ndarray:
+    # (N, 2) array of (theta, phi) -> (N, 3) unit vectors
+    sin_t = np.sin(angles[:, 0])
+    return np.stack(
+        [sin_t * np.cos(angles[:, 1]), sin_t * np.sin(angles[:, 1]), np.cos(angles[:, 0])], axis=1
+    )
+
+
+# The 64 x 128 (theta, phi) grid holds each point's antipode, which is the
+# same measurement; keep the north pole once and the 31 rows above the
+# equator.
+_THETAS = np.linspace(0.0, math.pi, GRID_THETA)[1 : GRID_THETA // 2]
+_PHIS = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
+_GRID_ANGLES = np.concatenate(
+    [[[0.0, 0.0]], np.stack([np.repeat(_THETAS, GRID_PHI), np.tile(_PHIS, len(_THETAS))], axis=1)]
+)
+_GRID_DIRS = _directions(_GRID_ANGLES)
 
 
 def _check_directions(dirs) -> np.ndarray:
@@ -73,52 +99,44 @@ def projector_pair(n):
 def conditional_entropy(rho, n, measured: int = 2) -> float:
     """Average post-measurement entropy of the unmeasured spin, in bits.
 
-    Lifts each projector to the full space, applies it to rho, and weights
-    the entropy of the surviving reduced state by the outcome probability.
-    Outcomes with probability below OUTCOME_FLOOR contribute zero.
+    The entropy of each outcome's conditional state is weighted by the
+    outcome probability; outcomes with probability below OUTCOME_FLOOR
+    contribute zero.
     """
-    rho = require_state(rho)
-    measured = _check_subsystem(measured)
-    unmeasured = 3 - measured
-    total = 0.0
-    for pi in projector_pair(n):
-        lifted = kron(pi, ID2) if measured == 1 else kron(ID2, pi)
-        post = lifted @ rho @ lifted
-        pk = complex(np.trace(post)).real
-        if pk < OUTCOME_FLOOR:
-            continue
-        total += pk * von_neumann_entropy(partial_trace(post / pk, keep=unmeasured))
-    return total
+    return float(conditional_entropy_many(rho, n, measured)[0])
 
 
-def _outcome_entropy_terms(blocks: np.ndarray) -> np.ndarray:
-    # blocks: (N, 2, 2) unnormalized Hermitian conditional states with
-    # trace = outcome probability; returns p_k * S(block / p_k) per row.
-    pk = blocks[:, 0, 0].real + blocks[:, 1, 1].real
-    half_gap = 0.5 * (blocks[:, 0, 0].real - blocks[:, 1, 1].real)
-    radius = np.hypot(half_gap, np.abs(blocks[:, 0, 1]))
-    ok = pk > OUTCOME_FLOOR
-    safe_pk = np.where(ok, pk, 1.0)
-    terms = np.zeros(len(blocks))
-    for lam in (0.5 * pk + radius, 0.5 * pk - radius):
-        frac = np.clip(lam / safe_pk, 0.0, 1.0)
-        pos = ok & (frac > 0.0)
-        terms -= np.where(pos, lam * np.log2(np.where(pos, frac, 1.0)), 0.0)
-    return np.maximum(terms, 0.0)
-
-
-def _cond_entropy_core(rho4: np.ndarray, dirs: np.ndarray, measured: int) -> np.ndarray:
-    # Same measurement pipeline as conditional_entropy, evaluated for a batch
-    # of directions; the surviving block is Tr_measured[rho (I x Pi)], which
-    # equals the partial trace of Pi rho Pi because Pi is idempotent.
-    pis = 0.5 * (ID2[None, :, :] + np.einsum("nk,kab->nab", dirs, _PAULI_STACK))
+def _measurement_basis(rho: np.ndarray, measured: int) -> np.ndarray:
+    # Rows s = 0..3 describe R_s, the partial trace over the measured spin
+    # of rho sigma_s (sigma_s acting on the measured spin, sigma_0 = I), so
+    # R_0 is the reduced state of the unmeasured spin. Each
+    # row holds (trace, half diagonal gap, Re, Im of the off-diagonal entry),
+    # the affine coordinates of a Hermitian 2x2 block.
+    rho4 = rho.reshape(2, 2, 2, 2)
     if measured == 2:
-        plus = np.einsum("ikjl,nlk->nij", rho4, pis)
-        reduced = np.einsum("ikjk->ij", rho4)
+        blocks = np.einsum("ikjl,slk->sij", rho4, _PAULI_BASIS)
     else:
-        plus = np.einsum("ikjl,nji->nkl", rho4, pis)
-        reduced = np.einsum("ikil->kl", rho4)
-    return _outcome_entropy_terms(plus) + _outcome_entropy_terms(reduced[None, :, :] - plus)
+        blocks = np.einsum("ikjl,sji->skl", rho4, _PAULI_BASIS)
+    top, bottom, off = blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 0, 1]
+    return np.stack([top + bottom, 0.5 * (top - bottom), off.real, off.imag], axis=1)
+
+
+def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    # The outcome blocks along n are (R_0 +/- sum_k n_k R_k) / 2, so all N
+    # directions need one (N, 3) @ (3, 4) product. `twice` holds the rows of
+    # twice each block, '+' outcomes first: (2 p, g) for an outcome of
+    # probability p, whose block then has eigenvalues p (1/2 +/- |g| / 2p).
+    shift = dirs @ basis[1:]
+    twice = np.concatenate([basis[0] + shift, basis[0] - shift])
+    pk = 0.5 * twice[:, 0]
+    ok = pk > OUTCOME_FLOOR
+    g = twice[:, 1:]
+    ratio = np.sqrt(np.einsum("ni,ni->n", g, g)) / np.where(ok, twice[:, 0], 1.0)
+    hi = 0.5 + np.minimum(ratio, 0.5)
+    lo = 1.0 - hi
+    bits = -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
+    terms = np.where(ok, pk * bits, 0.0)
+    return np.maximum(terms[: len(dirs)] + terms[len(dirs) :], 0.0)
 
 
 def conditional_entropy_many(rho, dirs, measured: int = 2) -> np.ndarray:
@@ -126,7 +144,7 @@ def conditional_entropy_many(rho, dirs, measured: int = 2) -> np.ndarray:
     rho = require_state(rho)
     dirs = _check_directions(dirs)
     measured = _check_subsystem(measured)
-    return _cond_entropy_core(rho.reshape(2, 2, 2, 2), dirs, measured)
+    return _cond_entropy_core(_measurement_basis(rho, measured), dirs)
 
 
 def _canonical_direction(n: np.ndarray) -> np.ndarray:
@@ -140,45 +158,56 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
     return -n if flip else n
 
 
+def _refine(basis: np.ndarray, grid_values: np.ndarray, order: np.ndarray):
+    # Compass search in (theta, phi) from the grid points `order`, all at
+    # once: each round evaluates the eight stencil neighbours of every start
+    # in one kernel call; a start moves to its best neighbour (first on
+    # ties) when that is strictly lower, and halves its step otherwise,
+    # until every step is below REFINE_STEP_MIN. (theta, phi) degenerates
+    # at the poles, so a start on a pole searches in the chart with x and z
+    # swapped, in which it sits on the equator at (pi/2, 0). Returns the
+    # refined directions and values.
+    angles, dirs, values = _GRID_ANGLES[order], _GRID_DIRS[order], grid_values[order]
+    on_pole = angles[:, 0] == 0.0
+    angles[on_pole, 0] = 0.5 * math.pi
+    step = np.full(len(order), math.pi / (GRID_THETA - 1))
+    rows = np.arange(len(order))
+    for _ in range(REFINE_MAX_ROUNDS):
+        if step.max() < REFINE_STEP_MIN:
+            break
+        trial = angles[:, None, :] + step[:, None, None] * _STENCIL
+        trial_dirs = _directions(trial.reshape(-1, 2)).reshape(len(order), len(_STENCIL), 3)
+        if on_pole.any():
+            trial_dirs[on_pole] = trial_dirs[on_pole][:, :, ::-1]
+        trial_values = _cond_entropy_core(basis, trial_dirs.reshape(-1, 3)).reshape(len(order), -1)
+        pick = np.argmin(trial_values, axis=1)
+        best = trial_values[rows, pick]
+        move = best < values
+        angles[move] = trial[move, pick[move]]
+        dirs[move] = trial_dirs[move, pick[move]]
+        values[move] = best[move]
+        step[~move] *= 0.5
+    return dirs, values
+
+
 def minimize_conditional_entropy(rho, measured: int = 2):
     """Global minimum of the conditional entropy over the unit sphere.
 
-    Returns (best_direction, min_entropy). Deterministic: a 64 x 128
-    (theta, phi) grid, then Nelder-Mead from the five best grid points with
-    stable index tie-breaking; a flat objective returns the first grid point.
+    Returns (best_direction, min_entropy). Deterministic: the upper half
+    of a 64 x 128 (theta, phi) grid (antipodes are the same measurement),
+    then a compass search that refines the five best grid points together
+    (stable index tie-breaking; steps halved from the grid spacing down to
+    REFINE_STEP_MIN); a flat objective returns the first grid point, the
+    north pole.
     """
     rho = require_state(rho)
     measured = _check_subsystem(measured)
-    rho4 = rho.reshape(2, 2, 2, 2)
-
-    thetas = np.linspace(0.0, math.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    angles = np.stack([tt.reshape(-1), pp.reshape(-1)], axis=1)
-    sin_t = np.sin(angles[:, 0])
-    dirs = np.stack(
-        [sin_t * np.cos(angles[:, 1]), sin_t * np.sin(angles[:, 1]), np.cos(angles[:, 0])],
-        axis=1,
-    )
-    values = _cond_entropy_core(rho4, dirs, measured)
-    order = np.argsort(values, kind="stable")[:REFINE_STARTS]
-
-    def objective(x):
-        return float(_cond_entropy_core(rho4, direction(x[0], x[1])[None, :], measured)[0])
-
-    best_value = float(values[order[0]])
-    best_dir = dirs[order[0]]
-    for start in angles[order]:
-        result = minimize(
-            objective,
-            x0=start,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-9, fatol=1e-13, maxiter=600),
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_dir = direction(result.x[0], result.x[1])
-    return _canonical_direction(best_dir), best_value
+    basis = _measurement_basis(rho, measured)
+    grid_values = _cond_entropy_core(basis, _GRID_DIRS)
+    order = np.argsort(grid_values, kind="stable")[:REFINE_STARTS]
+    dirs, values = _refine(basis, grid_values, order)
+    best = int(np.argmin(values))
+    return _canonical_direction(dirs[best]), float(values[best])
 
 
 def mutual_information(rho) -> float:

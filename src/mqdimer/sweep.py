@@ -70,6 +70,8 @@ class SweepConfig:
             raise InvalidConfig(f"measured subsystem must be 1 or 2, got {self.measured_subsystem!r}")
         if self.format not in ("csv", "svg", "both"):
             raise InvalidConfig(f"format must be csv, svg, or both, got {self.format!r}")
+        if not isinstance(self.renormalize, bool):
+            raise InvalidConfig(f"renormalize must be true or false, got {self.renormalize!r}")
 
     def params(self) -> DimerParams:
         try:

@@ -40,6 +40,21 @@ def _binary_entropy(x):
     return np.maximum(out, 0.0)
 
 
+def lifted_conditional_entropy(rho, n, measured=2):
+    """Conditional entropy by lifting each projector (I +/- n.sigma)/2 onto
+    the measured spin and tracing out the post-measurement state."""
+    rho = np.asarray(rho, dtype=complex)
+    pol = n[0] * SX + n[1] * SY + n[2] * SZ
+    total = 0.0
+    for pi in ((I2 + pol) / 2.0, (I2 - pol) / 2.0):
+        lifted = np.kron(pi, I2) if measured == 1 else np.kron(I2, pi)
+        post = lifted @ rho @ lifted
+        pk = np.trace(post).real
+        if pk >= 1e-14:
+            total += pk * ref_entropy_bits(ref_partial_trace(post / pk, keep=3 - measured))
+    return total
+
+
 def bloch_conditional_entropy(rho, dirs, measured=2):
     """Conditional entropy from the Pauli expansion of rho.
 
@@ -89,6 +104,32 @@ def dense_grid_min(rho, measured=2, n_theta=1024, n_phi=2048, chunks=16):
     return best, best_dir
 
 
+def zoomed_grid_min(rho, measured=2, zooms=4, n_side=33, **grid):
+    """dense_grid_min, then square grids in the tangent plane at the best point.
+
+    The first square spans one coarse grid spacing on each side of the best
+    grid point; each following one is 1/8 as wide, centred on the best point
+    so far. The 1024 x 2048 grid alone brackets a smooth minimum only to
+    about 1e-6, its spacing squared times the curvature.
+    """
+    best, n0 = dense_grid_min(rho, measured, **grid)
+    half = np.pi / (grid.get("n_theta", 1024) - 1)
+    offsets = np.linspace(-1.0, 1.0, n_side)
+    uu, vv = [g.reshape(-1, 1) for g in np.meshgrid(offsets, offsets)]
+    for _ in range(zooms):
+        e1 = np.cross(n0, np.eye(3)[np.argmin(np.abs(n0))])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n0, e1)
+        dirs = n0 + half * (uu * e1 + vv * e2)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        vals = bloch_conditional_entropy(rho, dirs, measured)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, n0 = float(vals[i]), dirs[i]
+        half /= 8.0
+    return best, n0
+
+
 def random_amplitudes(rng):
     v = rng.normal(size=4)
     alpha = complex(v[0], v[1])
@@ -106,6 +147,17 @@ def random_density_matrix(rng, dim=4):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_rank_state(rng, rank, smallest):
+    """Density matrix with a Haar-random eigenbasis and `rank` nonzero
+    eigenvalues, the smallest of which is `smallest`."""
+    w = np.zeros(4)
+    w[: rank - 1] = rng.uniform(0.2, 1.0, size=rank - 1)
+    w[: rank - 1] *= (1.0 - smallest) / w.sum()
+    w[rank - 1] = smallest
+    u = haar_unitary(rng, 4)
+    return (u * w) @ u.conj().T
 
 
 def haar_unitary(rng, dim=2):

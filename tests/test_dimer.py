@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from mqdimer import (
     DimerParams,
+    analytic_intensities,
+    concurrence_analytic,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
@@ -205,6 +207,20 @@ class TestEvolution:
             evolve_analytic(p)
         with pytest.raises(InvalidParams):
             evolve_analytic(p, 0.5, tau_bar=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, bad):
+        p = DimerParams(1.0, 0.0, 2.0)
+        for call in (
+            lambda: evolve_analytic(p, tau_bar=bad),
+            lambda: evolve_analytic(p, bad),
+            lambda: analytic_intensities(p, tau_bar=bad),
+            lambda: concurrence_analytic(p, tau_bar=bad),
+            lambda: propagator(tau_bar=bad),
+            lambda: evolve_numeric(initial_state(p), 1.0, bad),
+        ):
+            with pytest.raises(InvalidParams):
+                call()
 
 
 class TestHtReference:

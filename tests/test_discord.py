@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,15 +19,18 @@ from mqdimer import (
     projector_pair,
 )
 from mqdimer.errors import BadSubsystemId, NotAState, NotUnitVector
-from mqdimer.linalg import kron
+from mqdimer.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
 
 from oracles import (
     bell_phi_plus,
     bloch_conditional_entropy,
     haar_unitary,
+    lifted_conditional_entropy,
     random_amplitudes,
     random_density_matrix,
     random_directions,
+    random_rank_state,
+    zoomed_grid_min,
 )
 
 ISQ = 1.0 / math.sqrt(2.0)
@@ -111,7 +116,7 @@ class TestConditionalEntropy:
         dirs = random_directions(rng, 40)
         for side in (1, 2):
             batched = conditional_entropy_many(rho, dirs, side)
-            scalar = np.array([conditional_entropy(rho, n, side) for n in dirs])
+            scalar = np.array([lifted_conditional_entropy(rho, n, side) for n in dirs])
             assert np.max(np.abs(batched - scalar)) <= 1e-13
 
     def test_antipodal_symmetry_exact(self):
@@ -175,6 +180,70 @@ class TestMinimizeConditionalEntropy:
                 assert abs(n[0]) <= 1e-3, (b, tb, n)
                 assert abs(n[2]) <= 1e-3, (b, tb, n)
                 assert abs(n[1]) >= 0.999, (b, tb, n)
+
+
+class TestOptimizerOnGenericStates:
+    """Rank-3/4 states, where no closed form replaces the optimizer."""
+
+    # (rank, smallest eigenvalue) per seeded state; each spin is measured
+    SPECTRA = ((3, 1e-6), (4, 1e-6), (3, 1e-3), (4, 1e-4))
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        rng = np.random.default_rng(2024)
+        return [random_rank_state(rng, rank, smallest) for rank, smallest in self.SPECTRA]
+
+    def test_spectra(self, states):
+        for (rank, smallest), rho in zip(self.SPECTRA, states):
+            eig = np.linalg.eigvalsh(rho)
+            assert np.sum(eig > 1e-12) == rank
+            assert abs(eig[4 - rank] - smallest) <= 1e-12
+
+    def test_monte_carlo_lower_bound(self, states):
+        rng = np.random.default_rng(2025)
+        for rho in states:
+            for side in (1, 2):
+                _, value = minimize_conditional_entropy(rho, measured=side)
+                sampled = conditional_entropy_many(rho, random_directions(rng, 10_000), side)
+                assert value <= float(sampled.min()) + 1e-9, side
+
+    def test_matches_zoomed_dense_grid(self, states):
+        # each spin is measured on a rank-3 and a rank-4 state
+        for rho, side in zip(states, (1, 2, 2, 1)):
+            _, value = minimize_conditional_entropy(rho, measured=side)
+            grid_value, _ = zoomed_grid_min(rho, measured=side)
+            assert abs(value - grid_value) <= 1e-7, side
+
+    def test_minimum_near_the_pole(self, states):
+        # a local unitary on the measured spin carries the optimum to 2e-4 rad
+        # from +z, where (theta, phi) degenerates; the minimum must not move
+        for k, (rho, side) in enumerate(zip(states, (1, 2, 2, 1))):
+            n_star, value = minimize_conditional_entropy(rho, measured=side)
+            phi = 0.7 + 1.5 * k
+            target = np.array([2e-4 * math.cos(phi), 2e-4 * math.sin(phi), 1.0])
+            u = _spin_rotation(n_star, target / np.linalg.norm(target))
+            lift = kron(u, np.eye(2)) if side == 1 else kron(np.eye(2), u)
+            _, rotated = minimize_conditional_entropy(lift @ rho @ lift.conj().T, measured=side)
+            assert abs(rotated - value) <= 1e-10, (k, rotated - value)
+
+
+def _spin_rotation(a, b):
+    """SU(2) element whose Bloch rotation carries unit vector a onto b."""
+    axis = np.cross(a, b)
+    angle = math.atan2(np.linalg.norm(axis), float(a @ b))
+    axis /= np.linalg.norm(axis)
+    pol = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
+    return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * pol
+
+
+def test_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mqdimer; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestMutualInformation:

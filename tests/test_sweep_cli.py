@@ -50,6 +50,11 @@ class TestSweepConfig:
         p = SweepConfig(alpha=1.0, beta=1.0, renormalize=True).params()
         assert_allclose(abs(p.alpha), ISQ, atol=1e-12)
 
+    def test_rejects_non_bool_renormalize(self):
+        for value in ("false", "true", 1, 0, None):
+            with pytest.raises(InvalidConfig):
+                SweepConfig(renormalize=value).check()
+
 
 class TestRunSweep:
     def test_header_and_shape(self, tmp_path):
@@ -160,6 +165,11 @@ class TestFormatState:
         rows = text.splitlines()[1:]
         assert len(rows) == 4 and all(len(r.split("  ")) == 4 for r in rows)
 
+    def test_renders_a_nan_time_that_the_command_rejects(self, capsys):
+        assert "nan" in format_state(0.6 + 0j, 0.8j, 1.5, math.nan).splitlines()[1]
+        assert main(["state", "--tau-bar", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCliProcess:
     def test_fig1_preset(self, tmp_path):
@@ -217,6 +227,20 @@ class TestCliProcess:
         assert run_cli("sweep", "--config", str(cfg_file)).returncode == 2
         cfg_file.write_text("{\"b\": \"warm\"}")
         assert run_cli("sweep", "--config", str(cfg_file)).returncode == 2
+
+    def test_non_finite_tau_bar_exit_code(self):
+        for value in ("nan", "inf"):
+            proc = run_cli("state", "--tau-bar", value)
+            assert proc.returncode == 2, (value, proc.stdout)
+            assert proc.stdout == ""
+
+    def test_renormalize_must_be_json_bool(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"alpha": "2", "renormalize": "false", "points": 4,
+                                        "output_path": str(tmp_path / "r.csv")}))
+        proc = run_cli("sweep", "--config", str(cfg_file))
+        assert proc.returncode == 2, proc.stderr
+        assert not (tmp_path / "r.csv").exists()
 
     def test_io_error_exit_code(self):
         proc = run_cli("sweep", "--points", "4", "--out", "/no_such_dir_zz/x.csv")
