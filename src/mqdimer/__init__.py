@@ -28,7 +28,7 @@ from .dimer import (
     propagator,
     require_state,
 )
-from .discord import (
+from .correlations import (
     DiscordResult,
     classical_correlations,
     conditional_entropy,

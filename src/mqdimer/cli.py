@@ -122,7 +122,6 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--renormalize", action="store_true", default=None,
                      help="rescale amplitudes onto the unit sphere")
     sub.add_argument("--config", help="JSON file with sweep settings; flags override it")
-    sub.add_argument("--seed", type=int, help="reserved; all computations are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,12 +9,11 @@ reference, which has no odd-order support.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import DimerParams, param_tau_bar
+from .dimer import DimerParams, as_float, param_tau_bar
 from .errors import NonRealIntensity
 
 ORDERS = (-2, -1, 0, 1, 2)
@@ -40,7 +39,7 @@ def intensity(rho_comps: dict, ht_comps: dict, n: int, imag_tol: float = 1e-9) -
 
 @dataclass(frozen=True)
 class IntensityProfile:
-    """Order-resolved intensities at one time; j2 = g_plus2 + g_minus2."""
+    """Intensities by order at one time, or arrays over times; j2 = g_plus2 + g_minus2."""
 
     g0: float
     g_plus2: float
@@ -59,9 +58,11 @@ def initial_polarization(p: DimerParams) -> float:
 
 
 def analytic_intensities(p: DimerParams, tau=None, *, tau_bar=None) -> IntensityProfile:
-    """Closed-form intensities: G0 = F cos^2(2 tau_bar), G(+/-2) = F/2 sin^2(2 tau_bar)."""
+    """Closed-form intensities: G0 = F cos^2(2 tau_bar), G(+/-2) = F/2 sin^2(2 tau_bar).
+
+    An array of times gives arrays; np.square, unlike **, gives scalars the same bits."""
     tb = param_tau_bar(p, tau, tau_bar)
     f = initial_polarization(p)
-    g0 = f * math.cos(2.0 * tb) ** 2
-    g2 = 0.5 * f * math.sin(2.0 * tb) ** 2
-    return IntensityProfile(g0=g0, g_plus2=g2, g_minus2=g2, j2=2.0 * g2)
+    g0 = f * np.square(np.cos(2.0 * tb))
+    g2 = 0.5 * f * np.square(np.sin(2.0 * tb))
+    return IntensityProfile(*map(as_float, (g0, g2, g2, 2.0 * g2)))

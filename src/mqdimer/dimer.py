@@ -78,17 +78,25 @@ def _resolve_tau_bar(d, tau, tau_bar) -> float:
     return _finite_tau_bar(d * float(tau))
 
 
-def _finite_tau_bar(tb: float) -> float:
-    if not math.isfinite(tb):
-        raise InvalidParams(f"time must be finite, got tau_bar = {tb!r}")
-    return tb
+def _finite_tau_bar(tb):
+    tb = np.asarray(tb, dtype=float)
+    if not np.isfinite(tb).all():
+        bad = float(tb[~np.isfinite(tb)][0])
+        raise InvalidParams(f"time must be finite, got tau_bar = {bad!r}")
+    return as_float(tb)
 
 
-def param_tau_bar(p: DimerParams, tau, tau_bar) -> float:
-    """Dimensionless time for closed forms parametrized by DimerParams."""
+def as_float(x):
+    """A 0-d result as a Python float; an array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def param_tau_bar(p: DimerParams, tau, tau_bar):
+    """Dimensionless time for closed forms parametrized by DimerParams: a
+    float for a scalar time, a float ndarray for an array of times."""
     if (tau is None) == (tau_bar is None):
         raise InvalidParams("give exactly one of tau or tau_bar")
-    return _finite_tau_bar(p.d * float(tau) if tau is not None else float(tau_bar))
+    return _finite_tau_bar(p.d * np.asarray(tau, dtype=float) if tau is not None else tau_bar)
 
 
 def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .coherence import initial_polarization
-from .dimer import DimerParams, param_tau_bar, require_state
+from .dimer import DimerParams, as_float, param_tau_bar, require_state
 from .errors import InvalidParams
 from .linalg import PAULI_Y, kron
 
@@ -42,9 +42,9 @@ def concurrence_numeric(rho) -> float:
 
 
 def concurrence_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> float:
-    """Closed form |F sin(2 tau_bar)| with F the initial polarization."""
+    """Closed form |F sin(2 tau_bar)| with F the initial polarization, elementwise on arrays."""
     tb = param_tau_bar(p, tau, tau_bar)
-    return abs(initial_polarization(p) * math.sin(2.0 * tb))
+    return as_float(np.abs(initial_polarization(p) * np.sin(2.0 * tb)))
 
 
 def concurrence_from_intensities(p: DimerParams, j2: float) -> float:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .coherence import analytic_intensities
 from .dimer import DimerParams, evolve_analytic
-from .discord import discord
+from .correlations import discord
 from .entanglement import concurrence_analytic
 from .errors import InvalidConfig, InvalidParams
 
@@ -82,10 +83,6 @@ class SweepConfig:
             raise InvalidConfig(str(exc)) from exc
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
-
-
 def run_sweep(cfg: SweepConfig) -> list[Path]:
     """Compute the requested columns and write CSV and/or SVG; returns paths."""
     cfg.check()
@@ -93,32 +90,18 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     taus = np.linspace(cfg.tau_bar_start, cfg.tau_bar_end, cfg.points)
     want = set(cfg.quantities)
 
-    columns: dict[str, list[float] | None] = {name: None for name in CSV_COLUMNS[1:]}
-    if "g0" in want:
-        columns["g0"] = []
-    if "j2" in want:
-        columns["g2"], columns["gm2"], columns["j2"] = [], [], []
+    columns: dict[str, np.ndarray] = {}
+    if want & {"g0", "j2"}:
+        prof = analytic_intensities(p, tau_bar=taus)
+        if "g0" in want:
+            columns["g0"] = prof.g0
+        if "j2" in want:
+            columns.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
     if "concurrence" in want:
-        columns["concurrence"] = []
+        columns["concurrence"] = concurrence_analytic(p, tau_bar=taus)
     if "discord" in want:
-        columns["discord"] = []
-
-    for tb in taus:
-        tb = float(tb)
-        if "g0" in want or "j2" in want:
-            prof = analytic_intensities(p, tau_bar=tb)
-            if columns["g0"] is not None:
-                columns["g0"].append(prof.g0)
-            if columns["j2"] is not None:
-                columns["g2"].append(prof.g_plus2)
-                columns["gm2"].append(prof.g_minus2)
-                columns["j2"].append(prof.j2)
-        if columns["concurrence"] is not None:
-            columns["concurrence"].append(concurrence_analytic(p, tau_bar=tb))
-        if columns["discord"] is not None:
-            columns["discord"].append(
-                discord(evolve_analytic(p, tau_bar=tb), cfg.measured_subsystem).q
-            )
+        columns["discord"] = np.array([discord(evolve_analytic(p, tau_bar=tb),
+                                               cfg.measured_subsystem).q for tb in taus.tolist()])
 
     base = Path(cfg.output_path)
     written: list[Path] = []
@@ -128,21 +111,19 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
         written.append(csv_path)
     if cfg.format in ("svg", "both"):
         svg_path = base.with_suffix(".svg")
-        series = {q: np.asarray(columns[q]) for q in QUANTITIES if columns.get(q) is not None}
-        write_svg(svg_path, taus, series)
+        write_svg(svg_path, taus, {q: columns[q] for q in QUANTITIES if q in columns})
         written.append(svg_path)
     return written
 
 
 def write_csv(path, taus, columns: dict) -> None:
-    lines = [CSV_HEADER]
-    for i, tb in enumerate(taus):
-        cells = [_format_value(tb)]
-        for name in CSV_COLUMNS[1:]:
-            col = columns.get(name)
-            cells.append(_format_value(col[i]) if col is not None else "")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Stream the CSV rows, each column formatted at once; a None or missing column stays empty."""
+    n = len(taus)
+    cells = [repeat("", n) if col is None else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in (taus, *map(columns.get, CSV_COLUMNS[1:]))]
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(CSV_HEADER + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:

@@ -159,3 +159,20 @@ class TestAnalyticIntensities:
     def test_physical_tau(self):
         p = DimerParams(1.0, 0.0, 5.0, d=2.0)
         assert analytic_intensities(p, 0.7) == analytic_intensities(p, tau_bar=1.4)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        for _ in range(8):
+            alpha, beta = random_amplitudes(rng)
+            p = DimerParams(alpha, beta, rng.uniform(0.0, 15.0), d=rng.uniform(0.5, 2.0))
+            times = rng.uniform(-20.0, 20.0, 257)
+            for arg in ("tau_bar", "tau"):
+                arrays = analytic_intensities(p, **{arg: times})
+                for i, t in enumerate(times.tolist()):
+                    for name, value in vars(analytic_intensities(p, **{arg: t})).items():
+                        assert type(value) is float and value == getattr(arrays, name)[i], (name, t)
+
+    def test_array_keeps_its_shape(self):
+        p = DimerParams(0.6, 0.8, 2.0)
+        prof = analytic_intensities(p, tau_bar=np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        assert all(v.shape == (2, 3) for v in vars(prof).values())

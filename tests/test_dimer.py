@@ -16,6 +16,7 @@ from mqdimer import (
     propagator,
     require_state,
 )
+from mqdimer.dimer import param_tau_bar
 from mqdimer.errors import InvalidParams, NotAState
 
 from oracles import random_amplitudes
@@ -220,6 +221,20 @@ class TestEvolution:
             lambda: evolve_numeric(initial_state(p), 1.0, bad),
         ):
             with pytest.raises(InvalidParams):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time_in_an_array(self, bad):
+        p = DimerParams(1.0, 0.0, 2.0)
+        times = np.array([0.0, 0.5, bad, 1.0])
+        for call in (
+            lambda: param_tau_bar(p, None, times),
+            lambda: param_tau_bar(p, times, None),
+            lambda: analytic_intensities(p, tau_bar=times),
+            lambda: analytic_intensities(p, times),
+            lambda: concurrence_analytic(p, tau_bar=times),
+        ):
+            with pytest.raises(InvalidParams, match=repr(bad)):
                 call()
 
 

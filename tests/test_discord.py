@@ -236,6 +236,13 @@ def _spin_rotation(a, b):
     return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * pol
 
 
+def test_module_is_not_shadowed_by_the_function():
+    import mqdimer
+    import mqdimer.correlations
+
+    assert mqdimer.correlations.discord is mqdimer.discord is discord
+
+
 def test_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, mqdimer; print('scipy' in sys.modules)"],

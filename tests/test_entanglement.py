@@ -134,6 +134,19 @@ class TestConcurrenceAnalytic:
             b = concurrence_analytic(p, tau_bar=float(tb) + math.pi / 2.0)
             assert abs(a - b) <= 1e-14
 
+    def test_array_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            alpha, beta = random_amplitudes(rng)
+            p = DimerParams(alpha, beta, rng.uniform(0.0, 15.0), d=rng.uniform(0.5, 2.0))
+            times = rng.uniform(-20.0, 20.0, 257)
+            for arg in ("tau_bar", "tau"):
+                arrays = concurrence_analytic(p, **{arg: times})
+                assert arrays.shape == times.shape
+                for i, t in enumerate(times.tolist()):
+                    scalar = concurrence_analytic(p, **{arg: t})
+                    assert type(scalar) is float and scalar == arrays[i], t
+
 
 class TestConcurrenceFromIntensities:
     def test_zero_intensity(self):
