@@ -69,21 +69,21 @@ def _resolve_tau_bar(d, tau, tau_bar) -> float:
             raise InvalidParams("give tau or tau_bar, not both")
         if d is not None:
             raise InvalidParams("d is redundant when tau_bar is given")
-        return _finite_tau_bar(float(tau_bar))
+        return as_float(finite_array(float(tau_bar), "tau_bar"))
     if tau is None or d is None:
         raise InvalidParams("give (d, tau) or tau_bar")
     d = float(d)
     if not math.isfinite(d) or d <= 0:
         raise InvalidParams(f"d must be finite and > 0, got {d!r}")
-    return _finite_tau_bar(d * float(tau))
+    return as_float(finite_array(d * float(tau), "tau_bar"))
 
 
-def _finite_tau_bar(tb):
-    tb = np.asarray(tb, dtype=float)
-    if not np.isfinite(tb).all():
-        bad = float(tb[~np.isfinite(tb)][0])
-        raise InvalidParams(f"time must be finite, got tau_bar = {bad!r}")
-    return as_float(tb)
+def finite_array(x, name: str) -> np.ndarray:
+    """x as a float ndarray; a NaN or +-inf anywhere raises InvalidParams naming the first."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidParams(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
+    return x
 
 
 def as_float(x):
@@ -96,7 +96,8 @@ def param_tau_bar(p: DimerParams, tau, tau_bar):
     float for a scalar time, a float ndarray for an array of times."""
     if (tau is None) == (tau_bar is None):
         raise InvalidParams("give exactly one of tau or tau_bar")
-    return _finite_tau_bar(p.d * np.asarray(tau, dtype=float) if tau is not None else tau_bar)
+    tb = p.d * np.asarray(tau, dtype=float) if tau is not None else tau_bar
+    return as_float(finite_array(tb, "tau_bar"))
 
 
 def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
@@ -155,9 +156,13 @@ def evolve_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> np.ndarray:
     """Closed-form evolved density matrix, entry by entry.
 
     Equal to evolve_numeric(initial_state(p), ...) up to roundoff; this is
-    the reference expression the numeric path is checked against.
+    the reference expression the numeric path is checked against. Takes
+    one time; an array of times raises InvalidParams.
     """
-    return closed_form_state(p, param_tau_bar(p, tau, tau_bar))
+    tb = param_tau_bar(p, tau, tau_bar)
+    if np.ndim(tb) != 0:
+        raise InvalidParams(f"evolve_analytic takes one time, got an array of shape {np.shape(tb)}")
+    return closed_form_state(p, tb)
 
 
 def closed_form_state(p: DimerParams, tb: float) -> np.ndarray:

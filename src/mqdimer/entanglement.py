@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .coherence import initial_polarization
-from .dimer import DimerParams, as_float, param_tau_bar, require_state
-from .errors import InvalidParams
+from .dimer import DimerParams, as_float, finite_array, param_tau_bar, require_state
 from .linalg import PAULI_Y, kron
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
@@ -47,15 +44,13 @@ def concurrence_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> float:
     return as_float(np.abs(initial_polarization(p) * np.sin(2.0 * tb)))
 
 
-def concurrence_from_intensities(p: DimerParams, j2: float) -> float:
-    """Concurrence recovered from the summed second-order intensity.
+def concurrence_from_intensities(p: DimerParams, j2):
+    """Concurrence recovered from the summed second-order intensity, elementwise on arrays.
 
     C = sqrt(|(e^b |alpha|^2 - |beta|^2) j2| / (e^b + 1)); equals
     concurrence_analytic when j2 is the closed-form J2 at the same time.
     j2 inherits the sign of the initial polarization, so negative values
     are legitimate and the absolute value absorbs them.
     """
-    j2 = float(j2)
-    if not math.isfinite(j2):
-        raise InvalidParams(f"j2 must be finite, got {j2!r}")
-    return math.sqrt(abs(initial_polarization(p) * j2))
+    j2 = finite_array(j2, "j2")
+    return as_float(np.sqrt(np.abs(initial_polarization(p) * j2)))

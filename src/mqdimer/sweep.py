@@ -4,13 +4,18 @@ The CSV schema is fixed: header "tau_bar,g0,g2,gm2,j2,concurrence,discord",
 one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
+
+Both writers format whole blocks of _BLOCK_ROWS rows with one %-operation
+on a repeated line template: CSV cells are %r (repr), SVG polyline points
+are %.2f of the pixel coordinates, computed as arrays with the same
+floating-point expressions the axis ticks use. No Python code runs once
+per row or per point, and the block size bounds the temporary tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,7 @@ CSV_COLUMNS = ("tau_bar", "g0", "g2", "gm2", "j2", "concurrence", "discord")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 QUANTITIES = ("g0", "j2", "concurrence", "discord")
 MAX_POINTS = 10**6
+_BLOCK_ROWS = 4096
 
 _SVG_COLORS = {
     "g0": "#1f77b4",
@@ -117,13 +123,20 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
 
 
 def write_csv(path, taus, columns: dict) -> None:
-    """Stream the CSV rows, each column formatted at once; a None or missing column stays empty."""
-    n = len(taus)
-    cells = [repeat("", n) if col is None else map(repr, np.asarray(col, dtype=float).tolist())
-             for col in (taus, *map(columns.get, CSV_COLUMNS[1:]))]
+    """Write the CSV in blocks of rows; a None or missing column stays empty."""
+    cols = [taus, *map(columns.get, CSV_COLUMNS[1:])]
+    line = ",".join("" if col is None else "%r" for col in cols) + "\n"
+    table = np.column_stack([np.asarray(col, dtype=float) for col in cols if col is not None])
     with open(path, "w", encoding="ascii") as handle:
         handle.write(CSV_HEADER + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        handle.writelines(_format_rows(line, table))
+
+
+def _format_rows(line: str, table: np.ndarray):
+    """Yield the rows of a 2-D float table, each as line % row, one string per block."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        yield line * len(block) % tuple(block.ravel().tolist())
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
@@ -131,11 +144,19 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidConfig(f"unexpected CSV header in {path}")
-    cells = [line.split(",") for line in lines[1:]]
+    try:
+        cols = list(zip(*(line.split(",") for line in lines[1:]), strict=True))
+    except ValueError:
+        raise InvalidConfig(f"ragged rows in {path}") from None
+    cols = cols or [()] * len(CSV_COLUMNS)
+    if len(cols) != len(CSV_COLUMNS):
+        raise InvalidConfig(f"rows of {len(cols)} cells in {path}, expected {len(CSV_COLUMNS)}")
     out: dict[str, np.ndarray | None] = {}
-    for j, name in enumerate(CSV_COLUMNS):
-        raw = [row[j] for row in cells]
-        out[name] = None if any(v == "" for v in raw) else np.array([float(v) for v in raw])
+    for name, col in zip(CSV_COLUMNS, cols):
+        try:
+            out[name] = None if "" in col else np.array(col, dtype=float)
+        except ValueError:
+            raise InvalidConfig(f"non-numeric cell in column {name} of {path}") from None
     return out
 
 
@@ -193,9 +214,11 @@ def write_svg(path, taus, series: dict[str, np.ndarray], width: int = 880, heigh
         f'text-anchor="middle" font-family="sans-serif">tau_bar</text>'
     )
 
+    xs = sx(taus)
     for idx, (name, values) in enumerate(series.items()):
         color = _SVG_COLORS.get(name, "#333333")
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(taus, values))
+        xy = np.column_stack((xs, sy(np.asarray(values, dtype=float))))
+        pts = "".join(_format_rows("%.2f,%.2f ", xy))[:-1]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 16 + 18 * idx
         parts.append(

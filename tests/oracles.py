@@ -3,10 +3,13 @@
 Everything here is deliberately written with different algebra than the
 library: the conditional entropy uses the Pauli correlation-matrix closed
 form instead of lifted projectors, and entropies/partial traces are local
-re-implementations. Nothing imports from mqdimer.
+re-implementations. The sweep writers' references format one row or one
+point at a time. Nothing imports from mqdimer.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -170,3 +173,40 @@ def bell_phi_plus():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
     return np.outer(psi, psi.conj())
+
+
+REF_CSV_COLUMNS = ("tau_bar", "g0", "g2", "gm2", "j2", "concurrence", "discord")
+
+
+def ref_write_csv(path, taus, columns):
+    """Sweep CSV row by row: repr of each cell, a None or missing column empty."""
+    n = len(taus)
+    cells = [repeat("", n) if col is None else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in (taus, *map(columns.get, REF_CSV_COLUMNS[1:]))]
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(",".join(REF_CSV_COLUMNS) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def ref_polyline_points(taus, series, width=880, height=560):
+    """The points attribute of each SVG polyline, point by point with scalar
+    arithmetic: the y range spans every series and 0, padded by 5 %."""
+    ml, mr, mt, mb = 72, 18, 18, 56
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    taus = np.asarray(taus, dtype=float)
+    x_lo, x_hi = float(taus[0]), float(taus[-1])
+    y_lo = min(0.0, min(float(np.min(v)) for v in series.values()))
+    y_hi = max(float(np.max(v)) for v in series.values())
+    if y_hi - y_lo < 1e-12:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def sx(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(taus, values))
+            for values in series.values()]

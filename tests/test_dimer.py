@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,15 @@ class TestEvolution:
         ):
             with pytest.raises(InvalidParams, match=repr(bad)):
                 call()
+
+    @pytest.mark.parametrize("times", [[0.1, 0.2], [0.3], [[0.1, 0.2], [0.3, 0.4]]])
+    def test_rejects_an_array_of_times(self, times):
+        p = DimerParams(0.6, 0.8, 2.0)
+        shape = re.escape(str(np.shape(times)))
+        for kwargs in ({"tau_bar": np.array(times)}, {"tau": np.array(times)}):
+            with pytest.raises(InvalidParams, match=shape):
+                evolve_analytic(p, **kwargs)
+        assert np.array_equal(evolve_analytic(p, tau_bar=np.array(0.3)), evolve_analytic(p, tau_bar=0.3))
 
 
 class TestHtReference:

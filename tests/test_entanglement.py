@@ -190,3 +190,21 @@ class TestConcurrenceFromIntensities:
     def test_rejects_non_finite_intensity(self):
         with pytest.raises(InvalidParams):
             concurrence_from_intensities(DimerParams(1.0, 0.0, 1.0), float("nan"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_intensity_in_an_array(self, bad):
+        p = DimerParams(1.0, 0.0, 1.0)
+        with pytest.raises(InvalidParams, match=repr(bad)):
+            concurrence_from_intensities(p, np.array([[0.1, 0.2], [bad, 0.4]]))
+
+    def test_array_equals_scalar_bitwise(self):
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            alpha, beta = random_amplitudes(rng)
+            p = DimerParams(alpha, beta, rng.uniform(0.0, 15.0))
+            j2 = analytic_intensities(p, tau_bar=rng.uniform(-20.0, 20.0, (3, 43))).j2
+            arrays = concurrence_from_intensities(p, j2)
+            assert arrays.shape == j2.shape
+            for value, scalar_in in zip(arrays.ravel().tolist(), j2.ravel().tolist()):
+                scalar = concurrence_from_intensities(p, scalar_in)
+                assert type(scalar) is float and scalar == value, scalar_in

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,9 @@ from numpy.testing import assert_allclose
 from mqdimer import DimerParams, SweepConfig, analytic_intensities, concurrence_analytic, run_sweep
 from mqdimer.cli import format_state, main, parse_amplitude, parse_quantities
 from mqdimer.errors import InvalidConfig
-from mqdimer.sweep import CSV_HEADER, read_csv, write_csv
+from mqdimer.sweep import _BLOCK_ROWS, CSV_HEADER, read_csv, write_csv, write_svg
+
+from oracles import ref_polyline_points, ref_write_csv
 
 ISQ = 1.0 / math.sqrt(2.0)
 
@@ -138,6 +141,75 @@ class TestRunSweep:
             assert label in svg
 
 
+ROW_COUNTS = [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+
+
+def mixed_floats(rng, n):
+    """Both signs over the whole exponent range, with -0.0, subnormals and integers."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[::7] = np.round(x[::7] * 1e-300)
+    x[::11] = -0.0
+    x[::13] = 5e-324
+    return x
+
+
+class TestBlockWriters:
+    """The block writers give the bytes of the row-by-row and point-by-point references."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("layout", ["tau_bar only", "all columns", "none and missing"])
+    def test_csv_matches_reference(self, tmp_path, n, layout):
+        rng = np.random.default_rng(n)
+        taus = np.linspace(-1.0, 2.0, n)
+        columns = {
+            "tau_bar only": {},
+            "all columns": {name: mixed_floats(rng, n)
+                            for name in ("g0", "g2", "gm2", "j2", "concurrence", "discord")},
+            "none and missing": {"g0": mixed_floats(rng, n), "g2": None,
+                                 "j2": mixed_floats(rng, n).tolist(), "discord": mixed_floats(rng, n)},
+        }[layout]
+        write_csv(tmp_path / "block.csv", taus, columns)
+        ref_write_csv(tmp_path / "ref.csv", taus, columns)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("kind", ["mixed signs", "negative", "flat zero", "flat negative"])
+    def test_svg_polylines_match_reference(self, tmp_path, n, kind):
+        rng = np.random.default_rng(n)
+        taus = np.linspace(-3.0, 5.0, n) + rng.uniform(0.0, 1e-3)
+        series = {
+            "mixed signs": {"g0": rng.uniform(-1.0, 2.0, n), "j2": rng.standard_normal(n),
+                            "concurrence": rng.uniform(0.0, 1.0, n)},
+            "negative": {"g0": -rng.uniform(0.1, 1.0, n), "j2": -rng.uniform(1e-3, 3.0, n)},
+            "flat zero": {"g0": np.zeros(n), "concurrence": np.zeros(n)},
+            "flat negative": {"j2": np.full(n, -0.3)},
+        }[kind]
+        write_svg(tmp_path / "block.svg", taus, series)
+        svg = (tmp_path / "block.svg").read_text()
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+
+
+class TestReadCsv:
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n")
+        cols = read_csv(path)
+        assert list(cols) == CSV_HEADER.split(",")
+        assert all(col.shape == (0,) for col in cols.values())
+
+    @pytest.mark.parametrize("rows", [
+        ["0.0,1.0,,,,,", "0.5,1.0,,,,"],
+        ["0.0,1.0,,,,,,"],
+        ["0.0,1.0,,,,,", "0.5,one,,,,,"],
+        ["0.0,1.0,,,,,0x1p3", "0.5,2.0,,,,,0.25"],
+    ], ids=["ragged", "eight cells", "word", "hex float"])
+    def test_malformed_rows_raise_invalid_config(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        with pytest.raises(InvalidConfig):
+            read_csv(path)
+
+
 class TestParseAmplitude:
     def test_plain_real(self):
         assert parse_amplitude("0.5") == 0.5 + 0j
@@ -197,6 +269,11 @@ class TestPresetBytes:
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
         assert hashlib.sha256((tmp_path / "preset.csv").read_bytes()).hexdigest() == digest
+
+    def test_svg_digest(self, tmp_path):
+        assert main(["fig1", "--format", "both", "--out", str(tmp_path / "preset")]) == 0
+        assert (hashlib.sha256((tmp_path / "preset.svg").read_bytes()).hexdigest()
+                == "20b4dcd4a592f3e73f0cabc5f794c0eabc8b5eb47bdc55c5ca2291dcc69e9df7")
 
 
 class TestCliProcess:
