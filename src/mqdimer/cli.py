@@ -8,12 +8,13 @@ failure. Amplitudes are parsed as plain reals ("0.6"), cartesian pairs
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .dimer import DimerParams, closed_form_state, param_tau_bar
-from .errors import InvalidConfig, InvalidParams, MqDimerError
+from .errors import InvalidConfig, MqDimerError
 from .sweep import QUANTITIES, SweepConfig, run_sweep
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -112,12 +113,16 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", help="spin-1 amplitude on |0>")
     sub.add_argument("--beta", help="spin-1 amplitude on |1>")
     sub.add_argument("--b", type=float, help="thermal factor of spin 2")
-    sub.add_argument("--tau-start", type=float, help="first tau_bar")
-    sub.add_argument("--tau-end", type=float, help="last tau_bar")
+    sub.add_argument("--tau-start", type=float, dest="tau_bar_start", metavar="TAU_START",
+                     help="first tau_bar")
+    sub.add_argument("--tau-end", type=float, dest="tau_bar_end", metavar="TAU_END",
+                     help="last tau_bar")
     sub.add_argument("--points", type=int, help="number of rows (2..1e6)")
     sub.add_argument("--quantities", help="comma list from: " + ",".join(QUANTITIES))
-    sub.add_argument("--measured", type=int, choices=(1, 2), help="measured spin for discord")
-    sub.add_argument("--out", help="output path; extension set per format")
+    sub.add_argument("--measured", type=int, choices=(1, 2), dest="measured_subsystem",
+                     help="measured spin for discord")
+    sub.add_argument("--out", dest="output_path", metavar="OUT",
+                     help="output path; extension set per format")
     sub.add_argument("--format", choices=("csv", "svg", "both"), help="output format")
     sub.add_argument("--renormalize", action="store_true", default=None,
                      help="rescale amplitudes onto the unit sphere")
@@ -147,61 +152,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "alpha", "beta", "b", "tau_bar_start", "tau_bar_end", "points",
-    "quantities", "measured_subsystem", "output_path", "format", "renormalize",
-}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: set) -> dict:
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config file {path}: {exc}") from exc
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidConfig(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config file {path}: expected a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - keys
     if unknown:
         raise InvalidConfig(f"config file {path}: unknown keys {sorted(unknown)}")
     return raw
 
 
 def _sweep_config(args: argparse.Namespace, preset: dict | None) -> SweepConfig:
+    # each sweep flag's dest is the SweepConfig field it sets
+    keys = {field.name for field in dataclasses.fields(SweepConfig)}
     fields: dict = dict(preset or {})
     if args.config:
-        fields.update(_load_config_file(args.config))
-    overrides = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "b": args.b,
-        "tau_bar_start": args.tau_start,
-        "tau_bar_end": args.tau_end,
-        "points": args.points,
-        "quantities": args.quantities,
-        "measured_subsystem": args.measured,
-        "output_path": args.out,
-        "format": args.format,
-        "renormalize": args.renormalize,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
+        fields.update(_load_config_file(args.config, keys))
+    fields.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
 
     def coerce(key, converter, kind):
         if key not in fields:
             return
         try:
             fields[key] = converter(fields[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidConfig(f"{key} must be {kind}, got {fields[key]!r}") from None
 
     for key in ("alpha", "beta"):
-        coerce(key, lambda v: parse_amplitude(v) if isinstance(v, str) else complex(v),
-               "an amplitude literal or number")
+        coerce(key, parse_amplitude, "an amplitude literal or number")
     for key in ("b", "tau_bar_start", "tau_bar_end"):
         coerce(key, float, "a number")
-    if "quantities" in fields:
-        fields["quantities"] = parse_quantities(fields["quantities"])
+    coerce("quantities", parse_quantities, "a list of quantities")
     if "points" in fields:
         coerce("points", float, "an integer")
         if not fields["points"].is_integer():
@@ -217,7 +202,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         alpha = parse_amplitude(args.alpha)
         beta = parse_amplitude(args.beta)
         p = (DimerParams.normalized if args.renormalize else DimerParams)(alpha, beta, args.b)
-        print(format_state(p.alpha, p.beta, args.b, param_tau_bar(p, None, args.tau_bar)))
+        print(format_state(p.alpha, p.beta, args.b, param_tau_bar(p.d, None, args.tau_bar)))
         return 0
     cfg = _sweep_config(args, PRESETS.get(args.command))
     for path in run_sweep(cfg):
@@ -229,15 +214,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (InvalidConfig, InvalidParams) as exc:
+    except MqDimerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except MqDimerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

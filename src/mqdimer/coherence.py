@@ -61,7 +61,7 @@ def analytic_intensities(p: DimerParams, tau=None, *, tau_bar=None) -> Intensity
     """Closed-form intensities: G0 = F cos^2(2 tau_bar), G(+/-2) = F/2 sin^2(2 tau_bar).
 
     An array of times gives arrays; np.square, unlike **, gives scalars the same bits."""
-    tb = param_tau_bar(p, tau, tau_bar)
+    tb = param_tau_bar(p.d, tau, tau_bar)
     f = initial_polarization(p)
     g0 = f * np.square(np.cos(2.0 * tb))
     g2 = 0.5 * f * np.square(np.sin(2.0 * tb))

@@ -84,7 +84,7 @@ def _check_directions(dirs) -> np.ndarray:
 
 
 def _check_subsystem(measured: int) -> int:
-    if measured not in (1, 2):
+    if getattr(measured, "ndim", 0) or measured not in (1, 2):
         raise BadSubsystemId(f"measured subsystem must be 1 or 2, got {measured!r}")
     return measured
 
@@ -141,10 +141,8 @@ def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def conditional_entropy_many(rho, dirs, measured: int = 2) -> np.ndarray:
     """Vectorized conditional_entropy over an (N, 3) array of directions."""
-    rho = require_state(rho)
-    dirs = _check_directions(dirs)
-    measured = _check_subsystem(measured)
-    return _cond_entropy_core(_measurement_basis(rho, measured), dirs)
+    basis = _measurement_basis(require_state(rho), _check_subsystem(measured))
+    return _cond_entropy_core(basis, _check_directions(dirs))
 
 
 def _canonical_direction(n: np.ndarray) -> np.ndarray:
@@ -200,8 +198,11 @@ def minimize_conditional_entropy(rho, measured: int = 2):
     REFINE_STEP_MIN); a flat objective returns the first grid point, the
     north pole.
     """
-    rho = require_state(rho)
-    measured = _check_subsystem(measured)
+    return _minimize(require_state(rho), _check_subsystem(measured))
+
+
+def _minimize(rho: np.ndarray, measured: int):
+    # minimize_conditional_entropy on a checked state and subsystem
     basis = _measurement_basis(rho, measured)
     grid_values = _cond_entropy_core(basis, _GRID_DIRS)
     order = np.argsort(grid_values, kind="stable")[:REFINE_STARTS]
@@ -210,32 +211,30 @@ def minimize_conditional_entropy(rho, measured: int = 2):
     return _canonical_direction(dirs[best]), float(values[best])
 
 
+def _entropies(rho: np.ndarray) -> tuple[float, ...]:
+    # (S(rho_1), S(rho_2), S(rho)) of a checked state
+    return tuple(map(von_neumann_entropy, (partial_trace(rho, 1), partial_trace(rho, 2), rho)))
+
+
 def mutual_information(rho) -> float:
     """Total correlations S(rho_1) + S(rho_2) - S(rho), in bits."""
-    rho = require_state(rho)
-    return (
-        von_neumann_entropy(partial_trace(rho, keep=1))
-        + von_neumann_entropy(partial_trace(rho, keep=2))
-        - von_neumann_entropy(rho)
-    )
+    s1, s2, s12 = _entropies(require_state(rho))
+    return s1 + s2 - s12
 
 
 def classical_correlations(rho, measured: int = 2) -> float:
     """Entropy of the unmeasured spin minus the minimized conditional entropy."""
-    rho = require_state(rho)
-    measured = _check_subsystem(measured)
-    _, min_ce = minimize_conditional_entropy(rho, measured)
-    return von_neumann_entropy(partial_trace(rho, keep=3 - measured)) - min_ce
+    return discord(rho, measured).classical
 
 
 def discord(rho, measured: int = 2) -> DiscordResult:
     """Quantum discord: mutual information minus classical correlations."""
     rho = require_state(rho)
     measured = _check_subsystem(measured)
-    best_dir, min_ce = minimize_conditional_entropy(rho, measured)
-    s_unmeasured = von_neumann_entropy(partial_trace(rho, keep=3 - measured))
-    classical = s_unmeasured - min_ce
-    mutual = mutual_information(rho)
+    best_dir, min_ce = _minimize(rho, measured)
+    s1, s2, s12 = _entropies(rho)
+    classical = (s2 if measured == 1 else s1) - min_ce
+    mutual = s1 + s2 - s12
     q = mutual - classical
     if -Q_CLAMP <= q < 0.0:
         q = 0.0

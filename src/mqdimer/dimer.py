@@ -5,6 +5,10 @@ Basis convention: |0> is the I_z = +1/2 state of a spin, basis order
 alpha|0> + beta|1>, spin 2 in thermal equilibrium with weight
 exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
+
+Each input rule lives here once (times in param_tau_bar): a bad input raises
+InvalidParams, a bad state NotAState. The closed forms take one time or an array
+of times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .errors import InvalidParams, NotAState
 from .linalg import EIGVAL_FLOOR, eig_hermitian, hermiticity_defect, kron
 
 NORMALIZATION_TOL = 1e-9
+
+#: |tau_bar| must stay below this, so that 2 tau_bar (sin and cos take it) is finite
+TAU_BAR_LIMIT = 2.0**1023
 
 #: total z magnetization I_1z + I_2z in the standard basis
 IZ_TOTAL = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex)
@@ -33,22 +40,20 @@ class DimerParams:
     d: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", complex))
+        object.__setattr__(self, "beta", _number(self.beta, "beta", complex))
+        object.__setattr__(self, "b", _number(self.b, "b"))
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not math.isfinite(norm) or abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InvalidParams(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
         if not math.isfinite(self.b) or self.b < 0:
             raise InvalidParams(f"b must be finite and >= 0, got {self.b!r}")
-        if not math.isfinite(self.d) or self.d <= 0:
-            raise InvalidParams(f"d must be finite and > 0, got {self.d!r}")
+        object.__setattr__(self, "d", _coupling(self.d))
 
     @classmethod
     def normalized(cls, alpha, beta, b, d=1.0) -> "DimerParams":
         """Rescale (alpha, beta) onto the unit sphere before validation."""
-        alpha, beta = complex(alpha), complex(beta)
+        alpha, beta = _number(alpha, "alpha", complex), _number(beta, "beta", complex)
         scale = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         if scale == 0.0 or not math.isfinite(scale):
             raise InvalidParams("amplitudes cannot be normalized")
@@ -62,25 +67,30 @@ class DimerParams:
         return 1.0 - w1, w1
 
 
-def _resolve_tau_bar(d, tau, tau_bar) -> float:
-    """Accept either physical (d, tau) or dimensionless tau_bar, not both."""
-    if tau_bar is not None:
-        if tau is not None:
-            raise InvalidParams("give tau or tau_bar, not both")
-        if d is not None:
-            raise InvalidParams("d is redundant when tau_bar is given")
-        return as_float(finite_array(float(tau_bar), "tau_bar"))
-    if tau is None or d is None:
-        raise InvalidParams("give (d, tau) or tau_bar")
-    d = float(d)
+def _number(x, name: str, kind=float):
+    """x as one Python float (or complex); anything else raises InvalidParams."""
+    try:
+        if np.ndim(x) == 0:
+            return kind(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParams(f"{name} must be a number, got {x!r}")
+
+
+def _coupling(d) -> float:
+    """The dipolar coupling d as a float."""
+    d = _number(d, "d")
     if not math.isfinite(d) or d <= 0:
         raise InvalidParams(f"d must be finite and > 0, got {d!r}")
-    return as_float(finite_array(d * float(tau), "tau_bar"))
+    return d
 
 
 def finite_array(x, name: str) -> np.ndarray:
     """x as a float ndarray; a NaN or +-inf anywhere raises InvalidParams naming the first."""
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParams(f"{name} must be a number or an array of numbers, got {x!r}") from None
     if not np.isfinite(x).all():
         raise InvalidParams(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
     return x
@@ -91,18 +101,28 @@ def as_float(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def param_tau_bar(p: DimerParams, tau, tau_bar):
-    """Dimensionless time for closed forms parametrized by DimerParams: a
-    float for a scalar time, a float ndarray for an array of times."""
+def param_tau_bar(d, tau, tau_bar, one_time_for: str | None = None):
+    """tau_bar from exactly one of tau (times the coupling d) or tau_bar: a float, or
+    a float ndarray for an array of times unless one_time_for names the caller."""
     if (tau is None) == (tau_bar is None):
         raise InvalidParams("give exactly one of tau or tau_bar")
-    tb = p.d * np.asarray(tau, dtype=float) if tau is not None else tau_bar
-    return as_float(finite_array(tb, "tau_bar"))
+    if tau is not None:
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite tau_bar
+            tau_bar = _coupling(d) * finite_array(tau, "tau")
+    tb = finite_array(tau_bar, "tau_bar")
+    if not (np.abs(tb) < TAU_BAR_LIMIT).all():
+        raise InvalidParams(f"|tau_bar| must be below 2**1023, got {float(np.abs(tb).max())!r}")
+    if one_time_for and tb.ndim:
+        raise InvalidParams(f"{one_time_for} takes one time, got an array of shape {tb.shape}")
+    return as_float(tb)
 
 
 def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
     """Validate a 4x4 density matrix; returns it as a complex ndarray."""
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):
+        raise NotAState(f"expected a 4x4 matrix of numbers, got {rho!r}") from None
     if rho.shape != (4, 4):
         raise NotAState(f"expected a 4x4 matrix, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
@@ -126,9 +146,7 @@ def initial_state(p: DimerParams) -> np.ndarray:
 
 def mq_hamiltonian(d: float) -> np.ndarray:
     """Two-quantum coupling d (I1+ I2+ + I1- I2-): flips |00> <-> |11>."""
-    d = float(d)
-    if not math.isfinite(d) or d <= 0:
-        raise InvalidParams(f"d must be finite and > 0, got {d!r}")
+    d = _coupling(d)
     h = np.zeros((4, 4), dtype=complex)
     h[0, 3] = h[3, 0] = d
     return h
@@ -140,7 +158,9 @@ def propagator(d=None, tau=None, *, tau_bar=None) -> np.ndarray:
     Acts as the identity on span{|01>, |10>} and rotates the |00>, |11>
     pair by the angle tau_bar = d * tau.
     """
-    tb = _resolve_tau_bar(d, tau, tau_bar)
+    if tau_bar is not None and d is not None:
+        raise InvalidParams("d is redundant when tau_bar is given")
+    tb = param_tau_bar(d, tau, tau_bar, "propagator")
     vals, vecs = eig_hermitian(mq_hamiltonian(1.0))
     phases = np.exp(-1j * vals * tb)
     return (vecs * phases) @ vecs.conj().T
@@ -159,10 +179,7 @@ def evolve_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> np.ndarray:
     the reference expression the numeric path is checked against. Takes
     one time; an array of times raises InvalidParams.
     """
-    tb = param_tau_bar(p, tau, tau_bar)
-    if np.ndim(tb) != 0:
-        raise InvalidParams(f"evolve_analytic takes one time, got an array of shape {np.shape(tb)}")
-    return closed_form_state(p, tb)
+    return closed_form_state(p, param_tau_bar(p.d, tau, tau_bar, "evolve_analytic"))
 
 
 def closed_form_state(p: DimerParams, tb: float) -> np.ndarray:

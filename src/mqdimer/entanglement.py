@@ -40,7 +40,7 @@ def concurrence_numeric(rho) -> float:
 
 def concurrence_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> float:
     """Closed form |F sin(2 tau_bar)| with F the initial polarization, elementwise on arrays."""
-    tb = param_tau_bar(p, tau, tau_bar)
+    tb = param_tau_bar(p.d, tau, tau_bar)
     return as_float(np.abs(initial_polarization(p) * np.sin(2.0 * tb)))
 
 

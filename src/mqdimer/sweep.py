@@ -15,13 +15,14 @@ per row or per point, and the block size bounds the temporary tuples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .coherence import analytic_intensities
-from .dimer import DimerParams, evolve_analytic
+from .dimer import TAU_BAR_LIMIT, DimerParams, evolve_analytic
 from .correlations import discord
 from .entanglement import concurrence_analytic
 from .errors import InvalidConfig, InvalidParams
@@ -61,15 +62,16 @@ class SweepConfig:
             raise InvalidConfig(f"points must be an integer >= 2, got {self.points!r}")
         if self.points > MAX_POINTS:
             raise InvalidConfig(f"points must be <= {MAX_POINTS}, got {self.points}")
-        if not (math.isfinite(self.tau_bar_start) and math.isfinite(self.tau_bar_end)):
-            raise InvalidConfig("tau_bar range must be finite")
+        ends = (self.tau_bar_start, self.tau_bar_end)
+        if not all(isinstance(t, numbers.Real) and abs(t) < TAU_BAR_LIMIT for t in ends):
+            raise InvalidConfig(f"tau_bar range must be two numbers of size < 2**1023, got {ends!r}")
         if not self.tau_bar_end > self.tau_bar_start:
             raise InvalidConfig(
                 f"degenerate range: tau_bar_end {self.tau_bar_end!r} must exceed "
                 f"tau_bar_start {self.tau_bar_start!r}"
             )
-        if not self.quantities:
-            raise InvalidConfig("at least one quantity must be requested")
+        if not isinstance(self.quantities, (tuple, list, set, frozenset)) or not self.quantities:
+            raise InvalidConfig(f"quantities must name at least one quantity, got {self.quantities!r}")
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise InvalidConfig(f"unknown quantities {unknown}; choose from {QUANTITIES}")
@@ -81,10 +83,9 @@ class SweepConfig:
             raise InvalidConfig(f"renormalize must be true or false, got {self.renormalize!r}")
 
     def params(self) -> DimerParams:
+        make = DimerParams.normalized if self.renormalize else DimerParams
         try:
-            if self.renormalize:
-                return DimerParams.normalized(self.alpha, self.beta, self.b)
-            return DimerParams(self.alpha, self.beta, self.b)
+            return make(self.alpha, self.beta, self.b)
         except InvalidParams as exc:
             raise InvalidConfig(str(exc)) from exc
 

@@ -47,6 +47,11 @@ class TestDimerParams:
         with pytest.raises(InvalidParams):
             DimerParams(1.0, 0.0, 1.0, d=float("nan"))
 
+    @pytest.mark.parametrize("fields", [(1, 0, None), ("x", 0, 1.0)], ids=["b None", "alpha word"])
+    def test_rejects_ill_typed_fields(self, fields):
+        with pytest.raises(InvalidParams):
+            DimerParams(*fields)
+
     def test_normalized_constructor(self):
         p = DimerParams.normalized(3.0, 4.0, 0.2)
         assert_allclose([abs(p.alpha), abs(p.beta)], [0.6, 0.8], atol=1e-15)
@@ -135,6 +140,21 @@ class TestPropagator:
             propagator(1.0, 0.5, tau_bar=0.5)
         with pytest.raises(InvalidParams):
             propagator(1.0, tau_bar=0.5)
+
+    @pytest.mark.parametrize("shape", [(2,), (1,), (2, 2)])
+    def test_rejects_an_array_of_times(self, shape):
+        times = np.full(shape, 0.3)
+        rho0 = initial_state(DimerParams(0.6, 0.8, 2.0))
+        for call in (
+            lambda: propagator(tau_bar=times),
+            lambda: propagator(2.0, times),
+            lambda: evolve_numeric(rho0, tau_bar=times),
+            lambda: evolve_numeric(rho0, 2.0, times),
+            lambda: ht_reference(tau_bar=times),
+            lambda: ht_reference(1.0, times),
+        ):
+            with pytest.raises(InvalidParams, match=re.escape(str(shape))):
+                call()
 
 
 class TestEvolution:
@@ -229,14 +249,27 @@ class TestEvolution:
         p = DimerParams(1.0, 0.0, 2.0)
         times = np.array([0.0, 0.5, bad, 1.0])
         for call in (
-            lambda: param_tau_bar(p, None, times),
-            lambda: param_tau_bar(p, times, None),
+            lambda: param_tau_bar(p.d, None, times),
+            lambda: param_tau_bar(p.d, times, None),
             lambda: analytic_intensities(p, tau_bar=times),
             lambda: analytic_intensities(p, times),
             lambda: concurrence_analytic(p, tau_bar=times),
         ):
             with pytest.raises(InvalidParams, match=repr(bad)):
                 call()
+
+    @pytest.mark.parametrize("big", [1e308, -2.0**1023])
+    def test_rejects_a_time_whose_double_overflows(self, big):
+        p = DimerParams(1.0, 0.0, 2.0)
+        for call in (
+            lambda: evolve_analytic(p, tau_bar=big),
+            lambda: analytic_intensities(p, tau_bar=np.array([0.0, big])),
+            lambda: concurrence_analytic(DimerParams(1.0, 0.0, 2.0, d=4.0), big / 2.0),
+            lambda: propagator(tau_bar=big),
+        ):
+            with pytest.raises(InvalidParams, match="tau_bar"):
+                call()
+        assert np.isfinite(evolve_analytic(p, tau_bar=np.nextafter(2.0**1023, 0.0))).all()
 
     @pytest.mark.parametrize("times", [[0.1, 0.2], [0.3], [[0.1, 0.2], [0.3, 0.4]]])
     def test_rejects_an_array_of_times(self, times):

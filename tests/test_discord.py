@@ -343,3 +343,52 @@ class TestDiscord:
         r2 = discord(rho, measured=2)
         assert r1.measured_subsystem == 1 and r2.measured_subsystem == 2
         assert r1.q >= -1e-9 and r2.q >= -1e-9
+
+
+class TestDiscordPipeline:
+    """discord and the functions that give its parts share one checked pipeline."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        rng = np.random.default_rng(4242)
+        return [random_rank_state(rng, rank, smallest)
+                for rank in (2, 3, 4) for smallest in (1e-5, 0.05)]
+
+    def test_parts_match_bit_for_bit(self, states):
+        for rho in states:
+            for side in (1, 2):
+                result = discord(rho, side)
+                best_dir, min_ce = minimize_conditional_entropy(rho, side)
+                assert result.mutual == mutual_information(rho)
+                assert result.classical == classical_correlations(rho, side)
+                assert result.min_cond_entropy == min_ce
+                assert np.array_equal(result.best_direction, best_dir)
+
+    @pytest.mark.parametrize("rho, measured, error", [
+        ("x", 2, NotAState),
+        ([[1.0, 0.0], [0.0]], 2, NotAState),
+        (np.eye(4) / 4.0, np.array([1, 2]), BadSubsystemId),
+    ], ids=["word", "ragged", "array spin"])
+    def test_ill_typed_inputs_raise_typed_errors(self, rho, measured, error):
+        for call in (discord, classical_correlations, minimize_conditional_entropy):
+            with pytest.raises(error):
+                call(rho, measured)
+
+    def test_checks_its_inputs_once(self, states, monkeypatch):
+        import mqdimer.correlations as corr
+
+        calls = {"require_state": 0, "_check_subsystem": 0, "von_neumann_entropy": 0}
+
+        def counted(name):
+            inner = getattr(corr, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(corr, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        discord(states[0], 1)
+        assert calls == {"require_state": 1, "_check_subsystem": 1, "von_neumann_entropy": 3}

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mqdimer import DimerParams, SweepConfig, analytic_intensities, concurrence_analytic, run_sweep
-from mqdimer.cli import format_state, main, parse_amplitude, parse_quantities
+from mqdimer.cli import _sweep_config, build_parser, format_state, main, parse_amplitude, parse_quantities
 from mqdimer.errors import InvalidConfig
 from mqdimer.sweep import _BLOCK_ROWS, CSV_HEADER, read_csv, write_csv, write_svg
 
@@ -53,6 +53,14 @@ class TestSweepConfig:
             cfg.params()
         p = SweepConfig(alpha=1.0, beta=1.0, renormalize=True).params()
         assert_allclose(abs(p.alpha), ISQ, atol=1e-12)
+
+    @pytest.mark.parametrize("field", [{"tau_bar_start": "0"}, {"b": "x"}, {"quantities": 5},
+                                       {"tau_bar_end": 1e308}],
+                             ids=["tau_bar_start", "b", "quantities", "tau_bar_end 1e308"])
+    def test_ill_typed_field_raises_invalid_config(self, tmp_path, field):
+        with pytest.raises(InvalidConfig):
+            run_sweep(SweepConfig(output_path=str(tmp_path / "out.csv"), **field))
+        assert not (tmp_path / "out.csv").exists()
 
     def test_rejects_non_bool_renormalize(self):
         for value in ("false", "true", 1, 0, None):
@@ -196,6 +204,12 @@ class TestReadCsv:
         cols = read_csv(path)
         assert list(cols) == CSV_HEADER.split(",")
         assert all(col.shape == (0,) for col in cols.values())
+
+    def test_column_empty_in_every_row_is_none(self, tmp_path):
+        path = tmp_path / "g0.csv"
+        path.write_text("\n".join([CSV_HEADER, "0.0,1.0,,,,,", "0.5,0.5,,,,,"]) + "\n")
+        cols = read_csv(path)
+        assert cols["g0"].tolist() == [1.0, 0.5] and cols["j2"] is None
 
     @pytest.mark.parametrize("rows", [
         ["0.0,1.0,,,,,", "0.5,1.0,,,,"],
@@ -363,6 +377,34 @@ class TestCliProcess:
                        "--out", str(tmp_path / "pic"))
         assert proc.returncode == 0
         assert (tmp_path / "pic.svg").read_text().startswith("<svg")
+
+    def test_every_sweep_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "sweep", "--alpha", "0.6", "--beta", "0,0.8", "--b", "2", "--tau-start", "0.5",
+            "--tau-end", "1.5", "--points", "9", "--quantities", "discord,j2", "--measured", "1",
+            "--out", "o.csv", "--format", "both", "--renormalize",
+        ])
+        assert _sweep_config(args, None) == SweepConfig(
+            0.6, 0.8j, 2.0, 0.5, 1.5, 9, ("j2", "discord"), 1, "o.csv", "both", True)
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b'{"b": "\xff"}')
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "u.csv")]) == 2
+        assert "config file" in capsys.readouterr().err
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_config_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"b": 1%s}' % ("0" * 400))
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "b must be a number" in capsys.readouterr().err
+
+    def test_time_too_large_for_the_closed_forms_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        assert main(["sweep", "--tau-end", "1e308", "--points", "3", "--out", str(out)]) == 2
+        assert "tau_bar" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_callable_directly(self, tmp_path, capsys):
         code = main(["sweep", "--points", "4", "--out", str(tmp_path / "m.csv")])
