@@ -1,5 +1,10 @@
 """Command-line front end: sweeps, state dumps, and the two bundled presets.
 
+The CLI only turns text into values: every string value of a SweepConfig
+field, from a flag, a preset or the --config file, goes through that field's
+one parser in _PARSERS, and SweepConfig.check owns every type and range rule.
+`state` takes its amplitudes, b and --renormalize through the same flags.
+
 Exit codes: 0 on success, 2 for an invalid configuration, 3 for an I/O
 failure. Amplitudes are parsed as plain reals ("0.6"), cartesian pairs
 ("re,im"), or polar literals ("r@phase_degrees").
@@ -46,8 +51,6 @@ PRESETS = {
 
 def parse_amplitude(text: str) -> complex:
     """Parse an amplitude literal: "x", "re,im", or "r@degrees"."""
-    if not isinstance(text, str):
-        return complex(text)
     stripped = text.strip()
     if not stripped:
         raise InvalidConfig("empty amplitude literal")
@@ -56,41 +59,51 @@ def parse_amplitude(text: str) -> complex:
         try:
             return float(segment)
         except ValueError:
-            raise InvalidConfig(
-                f"bad amplitude {text!r}: invalid number {segment.strip()!r} "
-                f"at position {offset}"
-            ) from None
+            raise InvalidConfig(f"bad amplitude {text!r}: invalid number {segment.strip()!r} "
+                                f"at position {offset}") from None
 
-    if "@" in stripped:
-        mag_s, _, phase_s = stripped.partition("@")
-        if "@" in phase_s:
-            raise InvalidConfig(
-                f"bad amplitude {text!r}: second '@' at position "
-                f"{stripped.index('@', len(mag_s) + 1)}"
-            )
-        mag = parse_float(mag_s, 0)
-        phase = parse_float(phase_s, len(mag_s) + 1)
-        return mag * complex(math.cos(math.radians(phase)), math.sin(math.radians(phase)))
-    if "," in stripped:
-        re_s, _, im_s = stripped.partition(",")
-        if "," in im_s:
-            raise InvalidConfig(
-                f"bad amplitude {text!r}: second ',' at position "
-                f"{stripped.index(',', len(re_s) + 1)}"
-            )
-        return complex(parse_float(re_s, 0), parse_float(im_s, len(re_s) + 1))
-    return complex(parse_float(stripped, 0))
+    sep = "@" if "@" in stripped else ","
+    if sep not in stripped:
+        return complex(parse_float(stripped, 0))
+    first, _, second = stripped.partition(sep)
+    if sep in second:
+        raise InvalidConfig(f"bad amplitude {text!r}: second {sep!r} at position "
+                            f"{stripped.index(sep, len(first) + 1)}")
+    x, y = parse_float(first, 0), parse_float(second, len(first) + 1)
+    if sep == ",":
+        return complex(x, y)
+    return x * complex(math.cos(math.radians(y)), math.sin(math.radians(y)))
 
 
-def parse_quantities(text) -> tuple[str, ...]:
-    if isinstance(text, (list, tuple)):
-        names = [str(q).strip() for q in text]
-    else:
-        names = [q.strip() for q in str(text).split(",") if q.strip()]
-    unknown = [q for q in names if q not in QUANTITIES]
-    if unknown:
-        raise InvalidConfig(f"unknown quantities {unknown}; choose from {QUANTITIES}")
-    return tuple(q for q in QUANTITIES if q in names)
+def _integer(text: str | float) -> int | float:
+    """"4", "4.0", "1e3" or a JSON 4.0 as an int; 1.5 stays 1.5, for check() to reject."""
+    number = float(text)
+    return int(number) if number.is_integer() else number
+
+
+def _quantity_list(text: str) -> tuple[str, ...]:
+    """"j2, g0" -> ("g0", "j2"): QUANTITIES order, unknown names last for check() to reject."""
+    names = {name.strip() for name in text.split(",")} - {""}
+    return tuple(q for q in QUANTITIES if q in names) + tuple(sorted(names - set(QUANTITIES)))
+
+
+#: one text parser per SweepConfig field; the fields not named here keep their text
+_PARSERS = dict(alpha=parse_amplitude, beta=parse_amplitude, b=float, tau_bar_start=float,
+                tau_bar_end=float, points=_integer, measured_subsystem=_integer,
+                quantities=_quantity_list)
+
+
+def _parse(key: str, value):
+    """A string value read by its field's parser (an integer field also reads a JSON
+    float: 4.0 is 4); any other value is left as it is for SweepConfig.check."""
+    parse = _PARSERS.get(key)
+    if parse is None or not isinstance(value, (str, float) if parse is _integer else str):
+        return value
+    try:
+        return parse(value)
+    except ValueError:
+        kind = "an integer" if parse is _integer else "a number"
+        raise InvalidConfig(f"{key} must be {kind}, got {value!r}") from None
 
 
 def format_state(alpha: complex, beta: complex, b: float, tau_bar: float) -> str:
@@ -99,34 +112,28 @@ def format_state(alpha: complex, beta: complex, b: float, tau_bar: float) -> str
     tau_bar is rendered as given, NaN included; the state command checks
     it with param_tau_bar before it gets here.
     """
-    p = DimerParams(alpha, beta, b)
-    rho = closed_form_state(p, float(tau_bar))
-    lines = [
-        f"rho at tau_bar={tau_bar:#.9g} for alpha={alpha}, beta={beta}, b={b:#.9g}"
-    ]
-    for row in rho:
-        lines.append("  ".join(f"{z.real:#.9g}{z.imag:+#.9g}i" for z in row))
-    return "\n".join(lines)
+    rho = closed_form_state(DimerParams(alpha, beta, b), float(tau_bar))
+    rows = ("  ".join(f"{z.real:#.9g}{z.imag:+#.9g}i" for z in row) for row in rho)
+    return "\n".join([f"rho at tau_bar={tau_bar:#.9g} for alpha={alpha}, beta={beta}, b={b:#.9g}", *rows])
 
 
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", help="spin-1 amplitude on |0>")
-    sub.add_argument("--beta", help="spin-1 amplitude on |1>")
-    sub.add_argument("--b", type=float, help="thermal factor of spin 2")
-    sub.add_argument("--tau-start", type=float, dest="tau_bar_start", metavar="TAU_START",
-                     help="first tau_bar")
-    sub.add_argument("--tau-end", type=float, dest="tau_bar_end", metavar="TAU_END",
-                     help="last tau_bar")
-    sub.add_argument("--points", type=int, help="number of rows (2..1e6)")
-    sub.add_argument("--quantities", help="comma list from: " + ",".join(QUANTITIES))
-    sub.add_argument("--measured", type=int, choices=(1, 2), dest="measured_subsystem",
-                     help="measured spin for discord")
-    sub.add_argument("--out", dest="output_path", metavar="OUT",
-                     help="output path; extension set per format")
-    sub.add_argument("--format", choices=("csv", "svg", "both"), help="output format")
-    sub.add_argument("--renormalize", action="store_true", default=None,
-                     help="rescale amplitudes onto the unit sphere")
-    sub.add_argument("--config", help="JSON file with sweep settings; flags override it")
+def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
+    """Sweep flags (only the four that set DimerParams unless `full`), kept as text:
+    _PARSERS reads them and SweepConfig.check owns the choices of --measured, --format."""
+    add = sub.add_argument
+    add("--alpha", help="spin-1 amplitude on |0>")
+    add("--beta", help="spin-1 amplitude on |1>")
+    add("--b", help="thermal factor of spin 2")
+    if full:
+        add("--tau-start", dest="tau_bar_start", metavar="TAU_START", help="first tau_bar")
+        add("--tau-end", dest="tau_bar_end", metavar="TAU_END", help="last tau_bar")
+        add("--points", help="number of rows (2..1e6)")
+        add("--quantities", help="comma list from: " + ",".join(QUANTITIES))
+        add("--measured", dest="measured_subsystem", metavar="{1,2}", help="measured spin for discord")
+        add("--out", dest="output_path", metavar="OUT", help="output path; extension set per format")
+        add("--format", metavar="{csv,svg,both}", help="output format")
+    add("--renormalize", action="store_true", default=None,
+        help="rescale amplitudes onto the unit sphere")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,20 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-spin dipolar pair: coherence intensities, concurrence, discord.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sweep = subs.add_parser("sweep", help="sweep quantities over tau_bar")
-    _add_sweep_flags(sweep)
-
-    for name in ("fig1", "fig2"):
-        preset = subs.add_parser(name, help=f"run the bundled {name} sweep")
-        _add_sweep_flags(preset)
+    for name in ("sweep", "fig1", "fig2"):
+        sub = subs.add_parser(name, help="sweep quantities over tau_bar" if name == "sweep"
+                              else f"run the bundled {name} sweep")
+        _add_sweep_flags(sub)
+        sub.add_argument("--config", help="JSON file with sweep settings; flags override it")
 
     state = subs.add_parser("state", help="print the evolved density matrix")
-    state.add_argument("--alpha", default="1")
-    state.add_argument("--beta", default="0")
-    state.add_argument("--b", type=float, default=10.0)
+    _add_sweep_flags(state, full=False)
     state.add_argument("--tau-bar", type=float, default=0.0)
-    state.add_argument("--renormalize", action="store_true")
     return parser
 
 
@@ -167,53 +169,25 @@ def _load_config_file(path: str, keys: set) -> dict:
 
 
 def _sweep_config(args: argparse.Namespace, preset: dict | None) -> SweepConfig:
-    # each sweep flag's dest is the SweepConfig field it sets
+    """The preset, then the --config file, then the flags, each field's text parsed."""
     keys = {field.name for field in dataclasses.fields(SweepConfig)}
     fields: dict = dict(preset or {})
-    if args.config:
+    if getattr(args, "config", None):
         fields.update(_load_config_file(args.config, keys))
     fields.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
-
-    def coerce(key, converter, kind):
-        if key not in fields:
-            return
-        try:
-            fields[key] = converter(fields[key])
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfig(f"{key} must be {kind}, got {fields[key]!r}") from None
-
-    for key in ("alpha", "beta"):
-        coerce(key, parse_amplitude, "an amplitude literal or number")
-    for key in ("b", "tau_bar_start", "tau_bar_end"):
-        coerce(key, float, "a number")
-    coerce("quantities", parse_quantities, "a list of quantities")
-    if "points" in fields:
-        coerce("points", float, "an integer")
-        if not fields["points"].is_integer():
-            raise InvalidConfig(f"points must be an integer, got {fields['points']!r}")
-        fields["points"] = int(fields["points"])
-    coerce("measured_subsystem", int, "1 or 2")
-    coerce("output_path", str, "a path")
-    return SweepConfig(**fields)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "state":
-        alpha = parse_amplitude(args.alpha)
-        beta = parse_amplitude(args.beta)
-        p = (DimerParams.normalized if args.renormalize else DimerParams)(alpha, beta, args.b)
-        print(format_state(p.alpha, p.beta, args.b, param_tau_bar(p.d, None, args.tau_bar)))
-        return 0
-    cfg = _sweep_config(args, PRESETS.get(args.command))
-    for path in run_sweep(cfg):
-        print(f"wrote {path}")
-    return 0
+    return SweepConfig(**{k: _parse(k, v) for k, v in fields.items()})
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        if args.command == "state":
+            p = _sweep_config(args, None).params()
+            print(format_state(p.alpha, p.beta, p.b, param_tau_bar(p.d, None, args.tau_bar)))
+        else:
+            for path in run_sweep(_sweep_config(args, PRESETS.get(args.command))):
+                print(f"wrote {path}")
+        return 0
     except MqDimerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

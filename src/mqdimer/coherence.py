@@ -17,6 +17,7 @@ from .dimer import DimerParams, as_float, param_tau_bar
 from .errors import NonRealIntensity
 
 ORDERS = (-2, -1, 0, 1, 2)
+INTENSITY_IMAG_TOL = 1e-9
 
 _MZ = np.array([1, 0, 0, -1])
 _ENTRY_ORDER = _MZ[:, None] - _MZ[None, :]
@@ -28,12 +29,12 @@ def decompose(m) -> dict[int, np.ndarray]:
     return {n: np.where(_ENTRY_ORDER == n, m, 0.0) for n in ORDERS}
 
 
-def intensity(rho_comps: dict, ht_comps: dict, n: int, imag_tol: float = 1e-9) -> float:
+def intensity(rho_comps: dict, ht_comps: dict, n: int) -> float:
     """Observable intensity of order n: Tr of the order-n state component
     against the order-(-n) reference component."""
     value = complex(np.trace(rho_comps[n] @ ht_comps[-n]))
-    if abs(value.imag) > imag_tol:
-        raise NonRealIntensity(f"imaginary residue {value.imag:.3e} exceeds {imag_tol:.1e}")
+    if abs(value.imag) > INTENSITY_IMAG_TOL:
+        raise NonRealIntensity(f"imaginary residue {value.imag:.3e} exceeds {INTENSITY_IMAG_TOL:.1e}")
     return value.real
 
 

@@ -74,11 +74,17 @@ _GRID_DIRS = _directions(_GRID_ANGLES)
 
 
 def _check_directions(dirs) -> np.ndarray:
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise NotUnitVector(f"expected direction(s) of shape (3,) or (N, 3), got {dirs.shape}")
+    # real numbers only: text, complex numbers, None or ints beyond float range are not converted
+    try:
+        dirs = np.atleast_2d(np.asarray(dirs))
+    except (TypeError, ValueError):  # ragged nesting
+        raise NotUnitVector(f"expected direction(s) of numbers, got {dirs!r}") from None
+    if dirs.dtype.kind not in "iuf" or dirs.ndim != 2 or dirs.shape[1] != 3 or not len(dirs):
+        raise NotUnitVector(f"expected real direction(s) of shape (3,) or (N, 3), got "
+                            f"shape {dirs.shape} of {dirs.dtype}")
+    dirs = dirs.astype(float, copy=False)
     defect = np.abs(np.einsum("ni,ni->n", dirs, dirs) - 1.0)
-    if defect.max() > UNIT_TOL:
+    if not defect.max() <= UNIT_TOL:  # a NaN fails here too
         raise NotUnitVector(f"squared norm deviates from 1 by {defect.max():.3e}")
     return dirs
 

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotAState
-from .linalg import EIGVAL_FLOOR, eig_hermitian, hermiticity_defect, kron
+from .linalg import EIGVAL_FLOOR, HERMITICITY_TOL, eig_hermitian, hermiticity_defect, kron
 
 NORMALIZATION_TOL = 1e-9
+#: |trace - 1| that require_state allows (von_neumann_entropy allows linalg.ENTROPY_TRACE_TOL)
+STATE_TRACE_TOL = 1e-12
 
 #: |tau_bar| must stay below this, so that 2 tau_bar (sin and cos take it) is finite
 TAU_BAR_LIMIT = 2.0**1023
@@ -43,7 +45,7 @@ class DimerParams:
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", complex))
         object.__setattr__(self, "beta", _number(self.beta, "beta", complex))
         object.__setattr__(self, "b", _number(self.b, "b"))
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm = _squared_norm(self.alpha, self.beta)
         if not math.isfinite(norm) or abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InvalidParams(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
         if not math.isfinite(self.b) or self.b < 0:
@@ -54,7 +56,7 @@ class DimerParams:
     def normalized(cls, alpha, beta, b, d=1.0) -> "DimerParams":
         """Rescale (alpha, beta) onto the unit sphere before validation."""
         alpha, beta = _number(alpha, "alpha", complex), _number(beta, "beta", complex)
-        scale = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        scale = math.sqrt(_squared_norm(alpha, beta))
         if scale == 0.0 or not math.isfinite(scale):
             raise InvalidParams("amplitudes cannot be normalized")
         return cls(alpha / scale, beta / scale, b, d)
@@ -75,6 +77,14 @@ def _number(x, name: str, kind=float):
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidParams(f"{name} must be a number, got {x!r}")
+
+
+def _squared_norm(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2, or inf where that overflows a float."""
+    try:
+        return abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _coupling(d) -> float:
@@ -117,7 +127,7 @@ def param_tau_bar(d, tau, tau_bar, one_time_for: str | None = None):
     return as_float(tb)
 
 
-def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
+def require_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix; returns it as a complex ndarray."""
     try:
         rho = np.asarray(rho, dtype=complex)
@@ -126,11 +136,11 @@ def require_state(rho, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.
     if rho.shape != (4, 4):
         raise NotAState(f"expected a 4x4 matrix, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {herm_tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise NotAState(f"trace {tr!r} is not 1 within {trace_tol:.1e}")
+    if abs(tr - 1.0) > STATE_TRACE_TOL:
+        raise NotAState(f"trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}")
     low = float(np.linalg.eigvalsh(rho).min())
     if low < EIGVAL_FLOOR:
         raise NotAState(f"eigenvalue {low:.3e} below {EIGVAL_FLOOR:.1e}")

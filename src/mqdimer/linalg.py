@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadSubsystemId, NotAState, NotHermitian, SpectrumNotReal
+from .errors import BadSubsystemId, NotAState, NotHermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -14,6 +14,8 @@ ID4 = np.eye(4, dtype=complex)
 
 HERMITICITY_TOL = 1e-12
 EIGVAL_FLOOR = -1e-10
+#: |trace - 1| that von_neumann_entropy allows (looser than dimer.STATE_TRACE_TOL)
+ENTROPY_TRACE_TOL = 1e-9
 
 
 def kron(a, b) -> np.ndarray:
@@ -26,7 +28,7 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def eig_hermitian(m, tol: float = HERMITICITY_TOL):
+def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (values, vectors) with values sorted descending and vectors the
@@ -34,28 +36,10 @@ def eig_hermitian(m, tol: float = HERMITICITY_TOL):
     """
     m = np.asarray(m, dtype=complex)
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def eig_general_moduli(m, imag_tol: float = 1e-9) -> np.ndarray:
-    """Real parts of the eigenvalues of a general matrix, sorted descending.
-
-    Intended for products like rho @ spin_flip(rho) whose spectrum is real and
-    non-negative up to roundoff. Imaginary parts beyond
-    imag_tol * (1 + |Re|) raise SpectrumNotReal; real parts in
-    [EIGVAL_FLOOR, 0) are clamped to zero.
-    """
-    vals = np.linalg.eigvals(np.asarray(m, dtype=complex))
-    bad = np.abs(vals.imag) > imag_tol * (1.0 + np.abs(vals.real))
-    if np.any(bad):
-        worst = vals[np.argmax(np.abs(vals.imag))]
-        raise SpectrumNotReal(f"eigenvalue {worst!r} has a non-negligible imaginary part")
-    real = np.sort(vals.real)[::-1]
-    real[(real < 0.0) & (real >= EIGVAL_FLOOR)] = 0.0
-    return real
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:
@@ -68,7 +52,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     return np.einsum("ikil->kl", r)
 
 
-def von_neumann_entropy(rho, trace_tol: float = 1e-9) -> float:
+def von_neumann_entropy(rho) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0.
 
     Eigenvalues below EIGVAL_FLOOR raise NotAState; negative roundoff above
@@ -76,8 +60,8 @@ def von_neumann_entropy(rho, trace_tol: float = 1e-9) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise NotAState(f"trace {tr!r} is not 1 within {trace_tol:.1e}")
+    if abs(tr - 1.0) > ENTROPY_TRACE_TOL:
+        raise NotAState(f"trace {tr!r} is not 1 within {ENTROPY_TRACE_TOL:.1e}")
     probs = np.linalg.eigvalsh(rho)
     low = float(probs.min())
     if low < EIGVAL_FLOOR:

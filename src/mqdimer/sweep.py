@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 QUANTITIES = ("g0", "j2", "concurrence", "discord")
 MAX_POINTS = 10**6
 _BLOCK_ROWS = 4096
+SVG_WIDTH, SVG_HEIGHT = 880, 560
 
 _SVG_COLORS = {
     "g0": "#1f77b4",
@@ -58,7 +60,7 @@ class SweepConfig:
     renormalize: bool = False
 
     def check(self) -> None:
-        if not isinstance(self.points, int) or self.points < 2:
+        if not _is_int(self.points) or self.points < 2:
             raise InvalidConfig(f"points must be an integer >= 2, got {self.points!r}")
         if self.points > MAX_POINTS:
             raise InvalidConfig(f"points must be <= {MAX_POINTS}, got {self.points}")
@@ -75,12 +77,14 @@ class SweepConfig:
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise InvalidConfig(f"unknown quantities {unknown}; choose from {QUANTITIES}")
-        if self.measured_subsystem not in (1, 2):
+        if not _is_int(self.measured_subsystem) or self.measured_subsystem not in (1, 2):
             raise InvalidConfig(f"measured subsystem must be 1 or 2, got {self.measured_subsystem!r}")
         if self.format not in ("csv", "svg", "both"):
             raise InvalidConfig(f"format must be csv, svg, or both, got {self.format!r}")
         if not isinstance(self.renormalize, bool):
             raise InvalidConfig(f"renormalize must be true or false, got {self.renormalize!r}")
+        if not _names_a_file(self.output_path):
+            raise InvalidConfig(f"output_path must be a string naming a file, got {self.output_path!r}")
 
     def params(self) -> DimerParams:
         make = DimerParams.normalized if self.renormalize else DimerParams
@@ -88,6 +92,19 @@ class SweepConfig:
             return make(self.alpha, self.beta, self.b)
         except InvalidParams as exc:
             raise InvalidConfig(str(exc)) from exc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _names_a_file(path) -> bool:
+    # a str with a last component ("", "." and "/" have none) that the file
+    # system can take: no NUL, no surrogate outside surrogateescape's range
+    try:
+        return isinstance(path, str) and bool(Path(path).name) and b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
@@ -161,10 +178,10 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
     return out
 
 
-def write_svg(path, taus, series: dict[str, np.ndarray], width: int = 880, height: int = 560) -> None:
+def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     """Minimal static line plot: axes, ticks, one polyline per series, legend."""
     ml, mr, mt, mb = 72, 18, 18, 56
-    plot_w, plot_h = width - ml - mr, height - mt - mb
+    plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     taus = np.asarray(taus, dtype=float)
     x_lo, x_hi = float(taus[0]), float(taus[-1])
 
@@ -185,9 +202,9 @@ def write_svg(path, taus, series: dict[str, np.ndarray], width: int = 880, heigh
         return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
@@ -211,7 +228,7 @@ def write_svg(path, taus, series: dict[str, np.ndarray], width: int = 880, heigh
             f'dominant-baseline="middle" font-family="sans-serif">{yv:.4g}</text>'
         )
     parts.append(
-        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 14}" font-size="13" '
+        f'<text x="{ml + plot_w / 2:.2f}" y="{SVG_HEIGHT - 14}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif">tau_bar</text>'
     )
 

@@ -4,7 +4,9 @@ Everything here is deliberately written with different algebra than the
 library: the conditional entropy uses the Pauli correlation-matrix closed
 form instead of lifted projectors, and entropies/partial traces are local
 re-implementations. The sweep writers' references format one row or one
-point at a time. Nothing imports from mqdimer.
+point at a time. eig_general_moduli gives the concurrence spectrum through
+a general (non-Hermitian) eigensolver. The one name taken from mqdimer is
+the error type it raises.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from itertools import repeat
 
 import numpy as np
+
+from mqdimer.errors import SpectrumNotReal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,6 +36,23 @@ def ref_entropy_bits(rho):
     w = np.clip(w, 0.0, None)
     w = w[w > 0]
     return max(0.0, float(-(w * np.log2(w)).sum()))
+
+
+def eig_general_moduli(m):
+    """Real parts of the eigenvalues of a general matrix, sorted descending.
+
+    Meant for products like rho @ spin_flip(rho), whose spectrum is real and
+    non-negative up to roundoff. Imaginary parts beyond 1e-9 (1 + |Re|)
+    raise SpectrumNotReal; real parts in [-1e-10, 0) are clamped to zero.
+    """
+    vals = np.linalg.eigvals(np.asarray(m, dtype=complex))
+    bad = np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals.real))
+    if np.any(bad):
+        worst = vals[np.argmax(np.abs(vals.imag))]
+        raise SpectrumNotReal(f"eigenvalue {worst!r} has a non-negligible imaginary part")
+    real = np.sort(vals.real)[::-1]
+    real[(real < 0.0) & (real >= -1e-10)] = 0.0
+    return real
 
 
 def _binary_entropy(x):

@@ -52,6 +52,15 @@ class TestDimerParams:
         with pytest.raises(InvalidParams):
             DimerParams(*fields)
 
+    def test_huge_amplitude_raises_invalid_params(self):
+        # |alpha|^2 overflows a float; the constructors report it, not OverflowError
+        with pytest.raises(InvalidParams):
+            DimerParams(1e200, 0, 1.0)
+        with pytest.raises(InvalidParams):
+            DimerParams.normalized(1e200, 0, 1.0)
+        with pytest.raises(InvalidParams):
+            DimerParams.normalized(complex(1e308, 1e308), 0, 1.0)
+
     def test_normalized_constructor(self):
         p = DimerParams.normalized(3.0, 4.0, 0.2)
         assert_allclose([abs(p.alpha), abs(p.beta)], [0.6, 0.8], atol=1e-15)

@@ -80,6 +80,41 @@ class TestProjectorPair:
             projector_pair([0.0, 0.0, 0.9])
 
 
+class TestDirectionInputs:
+    """A direction that is NaN, a string or empty raises NotUnitVector, never a number."""
+
+    RHO = np.eye(4) / 4.0
+
+    def test_nan_direction_in_a_batch(self):
+        with pytest.raises(NotUnitVector):
+            conditional_entropy_many(self.RHO, [[math.nan, 0.0, 0.0]])
+
+    def test_nan_direction(self):
+        with pytest.raises(NotUnitVector):
+            conditional_entropy(self.RHO, [math.nan] * 3)
+
+    def test_nan_projector_direction(self):
+        with pytest.raises(NotUnitVector):
+            projector_pair([math.nan, 0.0, 0.0])
+
+    def test_string_direction(self):
+        with pytest.raises(NotUnitVector):
+            projector_pair("x")
+        with pytest.raises(NotUnitVector):
+            conditional_entropy(self.RHO, "x")
+
+    def test_empty_batch(self):
+        with pytest.raises(NotUnitVector):
+            conditional_entropy_many(self.RHO, np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("n", [["1", "0", "0"], np.array([1.0 + 1j, 0.0, 0.0]), [10**400, 0, 0],
+                                   [None, 0.0, 1.0], [[1.0, 0.0, 0.0], [1.0]]], ids=repr)
+    def test_non_real_direction(self, n):
+        # converting these would read text, drop an imaginary part or overflow
+        with pytest.raises(NotUnitVector):
+            projector_pair(n)
+
+
 class TestConditionalEntropy:
     def test_product_state_pure_remainder(self):
         # spin 1 is pure before evolution, so measuring spin 2 leaves entropy 0

@@ -15,9 +15,9 @@ from mqdimer import (
     spin_flip,
 )
 from mqdimer.errors import InvalidParams
-from mqdimer.linalg import eig_general_moduli, kron
+from mqdimer.linalg import kron
 
-from oracles import bell_phi_plus, haar_unitary, random_amplitudes, random_density_matrix
+from oracles import bell_phi_plus, eig_general_moduli, haar_unitary, random_amplitudes, random_density_matrix
 
 ISQ = 1.0 / math.sqrt(2.0)
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from mqdimer import linalg
 from mqdimer.errors import BadSubsystemId, NotAState, NotHermitian, SpectrumNotReal
 
-from oracles import bell_phi_plus, random_density_matrix
+from oracles import bell_phi_plus, eig_general_moduli, random_density_matrix
 
 
 def random_hermitian(rng, dim):
@@ -72,31 +72,33 @@ class TestEigHermitian:
 
 
 class TestEigGeneralModuli:
+    """The general-eigensolver oracle that test_entanglement checks concurrence_spectrum against."""
+
     def test_identity(self):
-        assert_allclose(linalg.eig_general_moduli(np.eye(4)), np.ones(4), atol=1e-14)
+        assert_allclose(eig_general_moduli(np.eye(4)), np.ones(4), atol=1e-14)
 
     def test_diagonal(self):
-        out = linalg.eig_general_moduli(np.diag([4.0, 1.0, 0.0, 0.0]))
+        out = eig_general_moduli(np.diag([4.0, 1.0, 0.0, 0.0]))
         assert_allclose(out, [4.0, 1.0, 0.0, 0.0], atol=1e-14)
 
     def test_bell_spin_flip_product(self):
         rho = bell_phi_plus()
         yy = linalg.kron(linalg.PAULI_Y, linalg.PAULI_Y)
-        out = linalg.eig_general_moduli(rho @ (yy @ rho.conj() @ yy))
+        out = eig_general_moduli(rho @ (yy @ rho.conj() @ yy))
         assert_allclose(out, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_clamps_small_negatives(self):
-        out = linalg.eig_general_moduli(np.diag([1.0, -5e-11, 0.0, 0.0]))
+        out = eig_general_moduli(np.diag([1.0, -5e-11, 0.0, 0.0]))
         assert out[3] == 0.0
         # values below the floor pass through untouched
-        out = linalg.eig_general_moduli(np.diag([1.0, -1e-3, 0.0, 0.0]))
+        out = eig_general_moduli(np.diag([1.0, -1e-3, 0.0, 0.0]))
         assert out[3] == -1e-3
 
     def test_rejects_complex_spectrum(self):
         m = np.zeros((4, 4))
         m[0, 1], m[1, 0] = -1.0, 1.0
         with pytest.raises(SpectrumNotReal):
-            linalg.eig_general_moduli(m)
+            eig_general_moduli(m)
 
 
 class TestPartialTrace:

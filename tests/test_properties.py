@@ -1,12 +1,20 @@
-"""Property tests at the library boundary.
+"""Property tests at the library and CLI boundaries.
 
-Every public function that takes a time, and DimerParams, either returns
-finite numbers or raises an MqDimerError, whatever it is given: a scalar,
-an array, a non-finite number, None or a string. The examples are
-derandomized, so every run draws the same ones.
+Every public function that takes a time, DimerParams and the functions
+that take a measurement direction either return finite numbers or raise an
+MqDimerError, whatever they are given: a scalar, an array, a non-finite or
+huge number, None or a string. Any value of a SweepConfig field in a
+--config file makes the CLI exit 0 or 2. The examples are derandomized,
+so every run draws the same ones.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +26,17 @@ from mqdimer import (
     MqDimerError,
     analytic_intensities,
     concurrence_analytic,
+    conditional_entropy,
+    conditional_entropy_many,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
     initial_state,
+    projector_pair,
     propagator,
 )
+from mqdimer.cli import main
+from mqdimer.sweep import CSV_COLUMNS, SweepConfig, read_csv
 
 BOUNDARY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -80,9 +93,98 @@ def test_no_time_or_two_times(name):
             TIME_CALLS[name](tau, tau_bar)
 
 
+#: finite values up to 1e308, whose squares overflow a float
+LARGE = st.one_of(
+    st.floats(min_value=1e150, max_value=1e308),
+    st.floats(min_value=-1e308, max_value=-1e150),
+    st.complex_numbers(min_magnitude=1e150, max_magnitude=1e308, allow_infinity=False),
+)
+
+
 @BOUNDARY
-@given(field=st.sampled_from(["alpha", "beta", "b", "d"]), value=VALUES)
+@given(field=st.sampled_from(["alpha", "beta", "b", "d"]), value=st.one_of(VALUES, LARGE))
 def test_dimer_params_fields(field, value):
     fields = {"alpha": 0.6, "beta": 0.8, "b": 2.0, "d": 1.5, field: value}
     finite_or_typed_error(lambda: DimerParams(**fields).thermal_weights)
     finite_or_typed_error(lambda: DimerParams.normalized(**fields).thermal_weights)
+
+
+RHO_EVOLVED = evolve_analytic(P, tau_bar=0.7)
+DIRECTIONS = st.one_of(
+    VALUES,
+    LARGE.map(lambda x: [x, 0.0, 0.0]),
+    st.lists(ANY_FLOAT, min_size=3, max_size=3),
+    st.lists(st.lists(ANY_FLOAT, min_size=3, max_size=3), max_size=3).map(
+        lambda rows: np.reshape(np.array(rows, dtype=float), (-1, 3))),
+    st.sampled_from([[0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x", ["x", 0, 0]]),
+)
+
+
+@BOUNDARY
+@given(n=DIRECTIONS, measured=st.sampled_from([1, 2]))
+def test_measurement_directions(n, measured):
+    finite_or_typed_error(lambda: conditional_entropy_many(RHO_EVOLVED, n, measured))
+    finite_or_typed_error(lambda: conditional_entropy(RHO_EVOLVED, n, measured))
+    finite_or_typed_error(lambda: projector_pair(n))
+
+
+#: what a config file may hold for a field: ints (some above 1e308), integral and
+#: non-integral floats, bools, null, numeric and junk strings, lists, amplitude literals;
+#: the text has no "/", which would name a missing directory (an I/O error, exit 3)
+CONFIG_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.integers(min_value=10**309, max_value=10**400),
+    st.integers(min_value=-3, max_value=12).map(float),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.5, 1.5, 1e308, -1e308, 5e-324, float("nan"), float("inf"), -float("inf")]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["4", "4.0", " 3 ", "1e1", "2.5", "-1", "nan", "inf", "1e400", "true", "x", "",
+                     "csv", "svg", "both", "g0", "j2, g0", "discord", "g0,bogus", ","]),
+    st.text(alphabet=st.characters(exclude_characters="/"), max_size=6),
+    st.lists(st.sampled_from(["g0", "j2", "concurrence", "x", 1, None]), max_size=3),
+    st.sampled_from(["0.6", "0.6,0.8", "0,1", "-1", "1@90", "5@30", "1@2@3", "1,2,3", "@", "0.6,"]),
+)
+
+#: the CSV columns each quantity fills
+QUANTITY_COLUMNS = {"g0": {"g0"}, "j2": {"g2", "gm2", "j2"}, "concurrence": {"concurrence"},
+                    "discord": {"discord"}}
+
+
+def requested_columns(quantities) -> set:
+    names = quantities.split(",") if isinstance(quantities, str) else quantities
+    return set().union(*(QUANTITY_COLUMNS[name.strip()] for name in names if name.strip()))
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SweepConfig)])
+@settings(BOUNDARY, max_examples=20)  # ~5 ms each: the eleven fields take about 1 s
+@given(value=CONFIG_VALUES)
+def test_sweep_config_values_through_the_cli(field, value):
+    """Any value of one field in a --config file exits 0 or 2 and never raises; a 0
+    leaves CSVs whose requested columns are full and the others empty."""
+    config = {"points": 3, "quantities": ["discord" if field == "measured_subsystem" else "g0"],
+              "output_path": "out", field: value}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("cfg.json").write_text(json.dumps(config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["sweep", "--config", "cfg.json"])
+            assert code in (0, 2), err.getvalue()
+            written = [line.removeprefix("wrote ") for line in out.getvalue().split("\n")[:-1]]
+            assert bool(written) == (code == 0), err.getvalue()
+            for path in written:
+                assert Path(path).is_file(), path
+                if path.endswith(".csv"):
+                    cols = read_csv(path)
+                    assert len(cols["tau_bar"]) >= 2
+                    want = requested_columns(config["quantities"])
+                    for name in CSV_COLUMNS[1:]:
+                        if name in want:
+                            assert cols[name] is not None and np.isfinite(cols[name]).all(), name
+                        else:
+                            assert cols[name] is None, name
+        finally:
+            os.chdir(cwd)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mqdimer import DimerParams, SweepConfig, analytic_intensities, concurrence_analytic, run_sweep
-from mqdimer.cli import _sweep_config, build_parser, format_state, main, parse_amplitude, parse_quantities
+from mqdimer.cli import _sweep_config, build_parser, format_state, main, parse_amplitude
 from mqdimer.errors import InvalidConfig
 from mqdimer.sweep import _BLOCK_ROWS, CSV_HEADER, read_csv, write_csv, write_svg
 
@@ -61,6 +61,16 @@ class TestSweepConfig:
         with pytest.raises(InvalidConfig):
             run_sweep(SweepConfig(output_path=str(tmp_path / "out.csv"), **field))
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("field", [
+        {"points": True}, {"points": 4.0}, {"measured_subsystem": True},
+        {"measured_subsystem": 1.5}, {"measured_subsystem": 2.0}, {"output_path": None},
+        {"output_path": 5}, {"output_path": ""}, {"output_path": "."}, {"output_path": "a\0b"},
+        {"output_path": "\ud800"},
+    ], ids=ascii)
+    def test_integer_and_path_fields_are_typed(self, field):
+        with pytest.raises(InvalidConfig):
+            SweepConfig(**field).check()
 
     def test_rejects_non_bool_renormalize(self):
         for value in ("false", "true", 1, 0, None):
@@ -243,10 +253,13 @@ class TestParseAmplitude:
         with pytest.raises(InvalidConfig):
             parse_amplitude("")
 
-    def test_quantities_parser(self):
-        assert parse_quantities("j2, g0") == ("g0", "j2")
-        with pytest.raises(InvalidConfig):
-            parse_quantities("g0,magnetization")
+    def test_quantities_parser(self, tmp_path, capsys):
+        args = build_parser().parse_args(["sweep", "--quantities", "j2, g0"])
+        assert _sweep_config(args, None).quantities == ("g0", "j2")
+        out = tmp_path / "q.csv"
+        assert main(["sweep", "--quantities", "g0,magnetization", "--out", str(out)]) == 2
+        assert "unknown quantities ['magnetization']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFormatState:
@@ -405,6 +418,44 @@ class TestCliProcess:
         assert main(["sweep", "--tau-end", "1e308", "--points", "3", "--out", str(out)]) == 2
         assert "tau_bar" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_text_gives_the_bytes_of_flags(self, tmp_path, capsys):
+        # one parser per field: a config file's strings and a JSON 4.0 read like the flags
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"points": 4.0, "b": "2", "quantities": "j2,g0",
+                                        "beta": "0,0.8", "alpha": "0.6"}))
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "c")]) == 0
+        assert main(["sweep", "--points", "4", "--b", "2", "--quantities", "g0,j2", "--beta", "0,0.8",
+                     "--alpha", "0.6", "--out", str(tmp_path / "f")]) == 0
+        run_sweep(SweepConfig(0.6, 0.8j, 2.0, points=4, quantities=("g0", "j2"),
+                              output_path=str(tmp_path / "s")))
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("values", [
+        {"measured_subsystem": 1.5}, {"measured_subsystem": True}, {"points": True},
+        {"points": "4.5"}, {"output_path": None}, {"output_path": 5}, {"output_path": ""},
+    ], ids=str)
+    def test_ill_typed_config_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                                 values):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"points": 3, **values}))
+        assert main(["sweep", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [["--alpha", "1e200", "--renormalize"], ["--alpha", "1e200"],
+                                      ["--beta", "1e300,1e300", "--renormalize"]])
+    def test_state_with_a_huge_amplitude_exits_2(self, capsys, argv):
+        assert main(["state", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_integer_flags_read_like_config_values(self):
+        args = build_parser().parse_args(["sweep", "--points", "4.0", "--measured", "1"])
+        cfg = _sweep_config(args, None)
+        assert (cfg.points, cfg.measured_subsystem) == (4, 1)
+        assert type(cfg.points) is int and type(cfg.measured_subsystem) is int
 
     def test_main_callable_directly(self, tmp_path, capsys):
         code = main(["sweep", "--points", "4", "--out", str(tmp_path / "m.csv")])
