@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -136,6 +137,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, full: bool = True) -> None:
         help="rescale amplitudes onto the unit sphere")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mqdimer",

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import require_state
-from .errors import BadSubsystemId, NotUnitVector
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, von_neumann_entropy
+from .dimer import _number, finite_array
+from .errors import NotUnitVector
+from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _spin_label,
+                     partial_trace)
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
@@ -50,8 +51,9 @@ class DiscordResult:
 
 
 def direction(theta: float, phi: float) -> np.ndarray:
-    """Unit Bloch vector from polar angle theta and azimuth phi."""
-    return _directions(np.array([[theta, phi]], dtype=float))[0]
+    """Unit Bloch vector from polar angle theta and azimuth phi, two finite numbers."""
+    angles = np.array([[_number(theta, "theta"), _number(phi, "phi")]])
+    return _directions(finite_array(angles, "theta and phi"))[0]
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -87,12 +89,6 @@ def _check_directions(dirs) -> np.ndarray:
     if not defect.max() <= UNIT_TOL:  # a NaN fails here too
         raise NotUnitVector(f"squared norm deviates from 1 by {defect.max():.3e}")
     return dirs
-
-
-def _check_subsystem(measured: int) -> int:
-    if getattr(measured, "ndim", 0) or measured not in (1, 2):
-        raise BadSubsystemId(f"measured subsystem must be 1 or 2, got {measured!r}")
-    return measured
 
 
 def projector_pair(n):
@@ -147,7 +143,7 @@ def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def conditional_entropy_many(rho, dirs, measured: int = 2) -> np.ndarray:
     """Vectorized conditional_entropy over an (N, 3) array of directions."""
-    basis = _measurement_basis(require_state(rho), _check_subsystem(measured))
+    basis = _measurement_basis(_checked_state(rho)[0], _spin_label(measured))
     return _cond_entropy_core(basis, _check_directions(dirs))
 
 
@@ -204,7 +200,7 @@ def minimize_conditional_entropy(rho, measured: int = 2):
     REFINE_STEP_MIN); a flat objective returns the first grid point, the
     north pole.
     """
-    return _minimize(require_state(rho), _check_subsystem(measured))
+    return _minimize(_checked_state(rho)[0], _spin_label(measured))
 
 
 def _minimize(rho: np.ndarray, measured: int):
@@ -217,14 +213,15 @@ def _minimize(rho: np.ndarray, measured: int):
     return _canonical_direction(dirs[best]), float(values[best])
 
 
-def _entropies(rho: np.ndarray) -> tuple[float, ...]:
-    # (S(rho_1), S(rho_2), S(rho)) of a checked state
-    return tuple(map(von_neumann_entropy, (partial_trace(rho, 1), partial_trace(rho, 2), rho)))
+def _entropies(rho: np.ndarray, spectrum: np.ndarray) -> tuple[float, ...]:
+    # (S(rho_1), S(rho_2), S(rho)) of a checked state and its spectrum, with no second check
+    s1, s2 = (_entropy_bits(np.linalg.eigvalsh(partial_trace(rho, k))) for k in (1, 2))
+    return s1, s2, _entropy_bits(spectrum)
 
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_1) + S(rho_2) - S(rho), in bits."""
-    s1, s2, s12 = _entropies(require_state(rho))
+    s1, s2, s12 = _entropies(*_checked_state(rho))
     return s1 + s2 - s12
 
 
@@ -235,10 +232,10 @@ def classical_correlations(rho, measured: int = 2) -> float:
 
 def discord(rho, measured: int = 2) -> DiscordResult:
     """Quantum discord: mutual information minus classical correlations."""
-    rho = require_state(rho)
-    measured = _check_subsystem(measured)
+    rho, spectrum = _checked_state(rho)
+    measured = _spin_label(measured)
     best_dir, min_ce = _minimize(rho, measured)
-    s1, s2, s12 = _entropies(rho)
+    s1, s2, s12 = _entropies(rho, spectrum)
     classical = (s2 if measured == 1 else s1) - min_ce
     mutual = s1 + s2 - s12
     q = mutual - classical

@@ -6,9 +6,9 @@ alpha|0> + beta|1>, spin 2 in thermal equilibrium with weight
 exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
 
-Each input rule lives here once (times in param_tau_bar): a bad input raises
-InvalidParams, a bad state NotAState. The closed forms take one time or an array
-of times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
+Each input rule lives here once (times in param_tau_bar; states in linalg): a bad
+input, a bool for a number too, raises InvalidParams. The closed forms take one time
+or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotAState
-from .linalg import EIGVAL_FLOOR, HERMITICITY_TOL, eig_hermitian, hermiticity_defect, kron
+from .errors import InvalidParams
+from .linalg import _checked_state, eig_hermitian, kron
 
 NORMALIZATION_TOL = 1e-9
-#: |trace - 1| that require_state allows (von_neumann_entropy allows linalg.ENTROPY_TRACE_TOL)
-STATE_TRACE_TOL = 1e-12
 
 #: |tau_bar| must stay below this, so that 2 tau_bar (sin and cos take it) is finite
 TAU_BAR_LIMIT = 2.0**1023
@@ -70,9 +68,9 @@ class DimerParams:
 
 
 def _number(x, name: str, kind=float):
-    """x as one Python float (or complex); anything else raises InvalidParams."""
+    """x as one Python float (or complex); anything else, a bool too, raises InvalidParams."""
     try:
-        if np.ndim(x) == 0:
+        if np.ndim(x) == 0 and np.asarray(x).dtype != bool:
             return kind(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -96,8 +94,10 @@ def _coupling(d) -> float:
 
 
 def finite_array(x, name: str) -> np.ndarray:
-    """x as a float ndarray; a NaN or +-inf anywhere raises InvalidParams naming the first."""
+    """x as a float ndarray; a bool, or a NaN or +-inf anywhere, raises InvalidParams."""
     try:
+        if np.asarray(x).dtype == bool:
+            raise TypeError
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParams(f"{name} must be a number or an array of numbers, got {x!r}") from None
@@ -128,23 +128,8 @@ def param_tau_bar(d, tau, tau_bar, one_time_for: str | None = None):
 
 
 def require_state(rho) -> np.ndarray:
-    """Validate a 4x4 density matrix; returns it as a complex ndarray."""
-    try:
-        rho = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError):
-        raise NotAState(f"expected a 4x4 matrix of numbers, got {rho!r}") from None
-    if rho.shape != (4, 4):
-        raise NotAState(f"expected a 4x4 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if defect > HERMITICITY_TOL:
-        raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > STATE_TRACE_TOL:
-        raise NotAState(f"trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}")
-    low = float(np.linalg.eigvalsh(rho).min())
-    if low < EIGVAL_FLOOR:
-        raise NotAState(f"eigenvalue {low:.3e} below {EIGVAL_FLOOR:.1e}")
-    return rho
+    """Validate a 4x4 density matrix (linalg's state rule); returns it as a complex ndarray."""
+    return _checked_state(rho)[0]
 
 
 def initial_state(p: DimerParams) -> np.ndarray:

@@ -10,12 +10,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 
+#: tolerances of the one density-matrix rule, _checked_state (eig_hermitian shares the first)
 HERMITICITY_TOL = 1e-12
+STATE_TRACE_TOL = 1e-12
 EIGVAL_FLOOR = -1e-10
-#: |trace - 1| that von_neumann_entropy allows (looser than dimer.STATE_TRACE_TOL)
-ENTROPY_TRACE_TOL = 1e-9
 
 
 def kron(a, b) -> np.ndarray:
@@ -44,28 +43,45 @@ def eig_hermitian(m):
 
 def partial_trace(rho, keep: int) -> np.ndarray:
     """Trace out one spin of a 4x4 two-spin operator, keeping subsystem 1 or 2."""
-    if keep not in (1, 2):
-        raise BadSubsystemId(f"keep must be 1 or 2, got {keep!r}")
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("ikil->kl", r)
+    subscripts = "ikjk->ij" if _spin_label(keep, "keep") == 1 else "ikil->kl"
+    return np.einsum(subscripts, np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2))
+
+
+def _spin_label(label, name: str = "measured subsystem") -> int:
+    """label as spin 1 or 2: an int or numpy integer, not a bool; else BadSubsystemId."""
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool) and label in (1, 2):
+        return int(label)
+    raise BadSubsystemId(f"{name} must be 1 or 2, got {label!r}")
+
+
+def _checked_state(rho, shapes=((4, 4),)) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex ndarray of one of `shapes` and its ascending eigvalsh spectrum;
+    NotAState unless Hermitian, of trace 1 and with no eigenvalue below EIGVAL_FLOOR."""
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise NotAState(f"expected a matrix of numbers, got {rho!r}") from None
+    if rho.shape not in shapes:
+        raise NotAState(f"expected shape {' or '.join(map(str, shapes))}, got {rho.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
+        defect, tr = hermiticity_defect(rho), complex(np.trace(rho))
+    if not defect <= HERMITICITY_TOL:
+        raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    if not abs(tr - 1.0) <= STATE_TRACE_TOL:
+        raise NotAState(f"trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}")
+    spectrum = np.linalg.eigvalsh(rho)
+    if not spectrum[0] >= EIGVAL_FLOOR:
+        raise NotAState(f"eigenvalue {spectrum[0]:.3e} below {EIGVAL_FLOOR:.1e}")
+    return rho, spectrum
+
+
+def _entropy_bits(spectrum: np.ndarray) -> float:
+    """-sum p log2 p over a state's spectrum; 0 log 0 = 0, negative roundoff counts as 0."""
+    probs = np.clip(spectrum, 0.0, None)
+    probs = probs[probs > 0.0]
+    return max(0.0, float(-(probs * np.log2(probs)).sum()))
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -sum p log2 p in bits, with 0 log 0 = 0.
-
-    Eigenvalues below EIGVAL_FLOOR raise NotAState; negative roundoff above
-    the floor is clamped to zero.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > ENTROPY_TRACE_TOL:
-        raise NotAState(f"trace {tr!r} is not 1 within {ENTROPY_TRACE_TOL:.1e}")
-    probs = np.linalg.eigvalsh(rho)
-    low = float(probs.min())
-    if low < EIGVAL_FLOOR:
-        raise NotAState(f"eigenvalue {low:.3e} below {EIGVAL_FLOOR:.1e}")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs[probs > 0.0]
-    return max(0.0, float(-(probs * np.log2(probs)).sum()))
+    """Entropy of a 2x2 or 4x4 density matrix in bits; NotAState for anything else."""
+    return _entropy_bits(_checked_state(rho, ((2, 2), (4, 4)))[1])

@@ -26,7 +26,8 @@ from .coherence import analytic_intensities
 from .dimer import TAU_BAR_LIMIT, DimerParams, evolve_analytic
 from .correlations import discord
 from .entanglement import concurrence_analytic
-from .errors import InvalidConfig, InvalidParams
+from .errors import BadSubsystemId, InvalidConfig, InvalidParams
+from .linalg import _spin_label
 
 CSV_COLUMNS = ("tau_bar", "g0", "g2", "gm2", "j2", "concurrence", "discord")
 CSV_HEADER = ",".join(CSV_COLUMNS)
@@ -65,7 +66,8 @@ class SweepConfig:
         if self.points > MAX_POINTS:
             raise InvalidConfig(f"points must be <= {MAX_POINTS}, got {self.points}")
         ends = (self.tau_bar_start, self.tau_bar_end)
-        if not all(isinstance(t, numbers.Real) and abs(t) < TAU_BAR_LIMIT for t in ends):
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   and abs(t) < TAU_BAR_LIMIT for t in ends):
             raise InvalidConfig(f"tau_bar range must be two numbers of size < 2**1023, got {ends!r}")
         if not self.tau_bar_end > self.tau_bar_start:
             raise InvalidConfig(
@@ -77,8 +79,10 @@ class SweepConfig:
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise InvalidConfig(f"unknown quantities {unknown}; choose from {QUANTITIES}")
-        if not _is_int(self.measured_subsystem) or self.measured_subsystem not in (1, 2):
-            raise InvalidConfig(f"measured subsystem must be 1 or 2, got {self.measured_subsystem!r}")
+        try:
+            _spin_label(self.measured_subsystem)
+        except BadSubsystemId as exc:
+            raise InvalidConfig(str(exc)) from exc
         if self.format not in ("csv", "svg", "both"):
             raise InvalidConfig(f"format must be csv, svg, or both, got {self.format!r}")
         if not isinstance(self.renormalize, bool):

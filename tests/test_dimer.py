@@ -47,7 +47,10 @@ class TestDimerParams:
         with pytest.raises(InvalidParams):
             DimerParams(1.0, 0.0, 1.0, d=float("nan"))
 
-    @pytest.mark.parametrize("fields", [(1, 0, None), ("x", 0, 1.0)], ids=["b None", "alpha word"])
+    @pytest.mark.parametrize("fields", [(1, 0, None), ("x", 0, 1.0), (True, 0, 1), (1, 0, True),
+                                        (1, 0, 1, np.True_), (1, np.array(False), 1)],
+                             ids=["b None", "alpha word", "alpha bool", "b bool", "d numpy bool",
+                                  "beta 0-d bool array"])
     def test_rejects_ill_typed_fields(self, fields):
         with pytest.raises(InvalidParams):
             DimerParams(*fields)
@@ -210,6 +213,15 @@ class TestEvolution:
             rho = evolve_analytic(p, tau_bar=float(tb))
             assert_allclose(np.diag(rho).real, np.full(4, 0.25), atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_with_a_non_finite_entry(self, bad):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = bad
+        with pytest.raises(NotAState):
+            require_state(rho)
+        with pytest.raises(NotAState):
+            require_state(np.full((4, 4), bad))
+
     def test_state_invariants_preserved(self):
         rng = np.random.default_rng(55)
         for _ in range(30):
@@ -265,6 +277,17 @@ class TestEvolution:
             lambda: concurrence_analytic(p, tau_bar=times),
         ):
             with pytest.raises(InvalidParams, match=repr(bad)):
+                call()
+
+    @pytest.mark.parametrize("times", [True, np.array([False, True])], ids=["bool", "bool array"])
+    def test_a_bool_is_not_a_time(self, times):
+        p = DimerParams(1.0, 0.0, 2.0)
+        for call in (
+            lambda: evolve_analytic(p, tau_bar=times),
+            lambda: analytic_intensities(p, tau_bar=times),
+            lambda: concurrence_analytic(p, times),
+        ):
+            with pytest.raises(InvalidParams):
                 call()
 
     @pytest.mark.parametrize("big", [1e308, -2.0**1023])

@@ -11,6 +11,7 @@ from mqdimer import (
     classical_correlations,
     conditional_entropy,
     conditional_entropy_many,
+    direction,
     discord,
     evolve_analytic,
     initial_state,
@@ -18,7 +19,7 @@ from mqdimer import (
     mutual_information,
     projector_pair,
 )
-from mqdimer.errors import BadSubsystemId, NotAState, NotUnitVector
+from mqdimer.errors import BadSubsystemId, InvalidParams, NotAState, NotUnitVector
 from mqdimer.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
 
 from oracles import (
@@ -113,6 +114,20 @@ class TestDirectionInputs:
         # converting these would read text, drop an imaginary part or overflow
         with pytest.raises(NotUnitVector):
             projector_pair(n)
+
+
+class TestDirectionAngles:
+    def test_angles(self):
+        assert_allclose(direction(0.5 * math.pi, 0.0), [1.0, 0.0, 0.0], atol=1e-16)
+        assert np.array_equal(direction(np.float32(0.5), 1), direction(float(np.float32(0.5)), 1.0))
+
+    @pytest.mark.parametrize("theta, phi", [
+        (math.nan, 0.0), (0.0, math.inf), ("x", 0.0), (0.0, np.array([0.1, 0.2])), (True, 0.0),
+        (0.0, None),
+    ], ids=["nan", "inf", "word", "array", "bool", "none"])
+    def test_rejects_what_is_not_a_finite_number(self, theta, phi):
+        with pytest.raises(InvalidParams):
+            direction(theta, phi)
 
 
 class TestConditionalEntropy:
@@ -403,27 +418,51 @@ class TestDiscordPipeline:
         ("x", 2, NotAState),
         ([[1.0, 0.0], [0.0]], 2, NotAState),
         (np.eye(4) / 4.0, np.array([1, 2]), BadSubsystemId),
-    ], ids=["word", "ragged", "array spin"])
+        (np.eye(4) / 4.0, True, BadSubsystemId),
+        (np.eye(4) / 4.0, 2.0, BadSubsystemId),
+        (np.eye(4) / 4.0, np.array(2), BadSubsystemId),
+    ], ids=["word", "ragged", "array spin", "bool spin", "float spin", "0-d array spin"])
     def test_ill_typed_inputs_raise_typed_errors(self, rho, measured, error):
         for call in (discord, classical_correlations, minimize_conditional_entropy):
             with pytest.raises(error):
                 call(rho, measured)
+        with pytest.raises(error):
+            conditional_entropy_many(rho, [0.0, 0.0, 1.0], measured)
+
+    def test_numpy_integer_spin(self, states):
+        result, plain = discord(states[0], np.int64(2)), discord(states[0], 2)
+        assert result.q == plain.q and result.mutual == plain.mutual
+        assert type(result.measured_subsystem) is int and result.measured_subsystem == 2
 
     def test_checks_its_inputs_once(self, states, monkeypatch):
+        """One state check, one spin check, and one eigvalsh of the 4x4 state per
+        discord call; S(rho) reuses that spectrum, and the public
+        von_neumann_entropy is not called."""
         import mqdimer.correlations as corr
+        import mqdimer.linalg as linalg
 
-        calls = {"require_state": 0, "_check_subsystem": 0, "von_neumann_entropy": 0}
+        calls = {"_checked_state": 0, "_spin_label": 0, "von_neumann_entropy": 0}
+        spectra = []
 
-        def counted(name):
-            inner = getattr(corr, name)
+        def counted(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
 
-            monkeypatch.setattr(corr, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            counted(name)
+        counted(corr, "_checked_state")
+        counted(corr, "_spin_label")
+        counted(linalg, "von_neumann_entropy")
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            spectra.append(np.shape(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         discord(states[0], 1)
-        assert calls == {"require_state": 1, "_check_subsystem": 1, "von_neumann_entropy": 3}
+        assert calls == {"_checked_state": 1, "_spin_label": 1, "von_neumann_entropy": 0}
+        assert sorted(spectra) == [(2, 2), (2, 2), (4, 4)]

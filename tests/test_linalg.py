@@ -136,6 +136,16 @@ class TestPartialTrace:
         with pytest.raises(BadSubsystemId):
             linalg.partial_trace(np.eye(4) / 4.0, 3)
 
+    @pytest.mark.parametrize("keep", [True, 2.0, np.array(2), np.array([2]), "2", None],
+                             ids=["bool", "float", "0-d array", "array", "text", "none"])
+    def test_subsystem_must_be_an_integer(self, keep):
+        with pytest.raises(BadSubsystemId):
+            linalg.partial_trace(np.eye(4) / 4.0, keep)
+
+    def test_numpy_integer_subsystem(self):
+        rho = random_density_matrix(np.random.default_rng(5), 4)
+        assert np.array_equal(linalg.partial_trace(rho, np.int64(2)), linalg.partial_trace(rho, 2))
+
 
 class TestVonNeumannEntropy:
     def test_pure_projector(self):
@@ -171,6 +181,32 @@ class TestVonNeumannEntropy:
     def test_rejects_bad_trace(self):
         with pytest.raises(NotAState):
             linalg.von_neumann_entropy(np.diag([0.7, 0.7, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("rho", [
+        [[0.5, 5.0], [0.0, 0.5]],
+        [[0.5, 0.5j], [0.5j, 0.5]],
+        np.diag([0.25, 0.25, 0.25, 0.25]) + np.triu(np.full((4, 4), 0.1), 1),
+        np.eye(3) / 3.0,
+        "x",
+        None,
+        [[1.0, 0.0], [0.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+    ], ids=["non-hermitian 2x2", "anti-hermitian off-diagonal", "non-hermitian 4x4", "3x3",
+            "word", "none", "ragged", "nan"])
+    def test_rejects_what_is_not_a_state(self, rho):
+        with pytest.raises(NotAState):
+            linalg.von_neumann_entropy(rho)
+
+    def test_one_trace_tolerance(self):
+        # 1e-10 off: rejected by require_state and by von_neumann_entropy alike
+        from mqdimer import require_state
+
+        rho = np.diag([0.5 + 1e-10, 0.5, 0.0, 0.0])
+        for check in (require_state, linalg.von_neumann_entropy):
+            with pytest.raises(NotAState):
+                check(rho)
+        with pytest.raises(NotAState):
+            linalg.von_neumann_entropy(rho[:2, :2])
 
     def test_clamps_tiny_negatives(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])

@@ -1,11 +1,11 @@
 """Property tests at the library and CLI boundaries.
 
-Every public function that takes a time, DimerParams and the functions
-that take a measurement direction either return finite numbers or raise an
-MqDimerError, whatever they are given: a scalar, an array, a non-finite or
-huge number, None or a string. Any value of a SweepConfig field in a
---config file makes the CLI exit 0 or 2. The examples are derandomized,
-so every run draws the same ones.
+Every public function that takes a time, DimerParams, the functions that
+take a measurement direction and those that take a state or a spin label
+either return finite numbers or raise an MqDimerError, whatever they are
+given: a scalar, an array, a non-finite or huge number, None or a string.
+Any value of a SweepConfig field in a --config file makes the CLI exit 0
+or 2. The examples are derandomized, so every run draws the same ones.
 """
 
 import contextlib
@@ -25,17 +25,24 @@ from mqdimer import (
     DimerParams,
     MqDimerError,
     analytic_intensities,
+    classical_correlations,
     concurrence_analytic,
+    concurrence_numeric,
     conditional_entropy,
     conditional_entropy_many,
+    discord,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
     initial_state,
+    minimize_conditional_entropy,
+    mutual_information,
     projector_pair,
     propagator,
+    require_state,
 )
 from mqdimer.cli import main
+from mqdimer.linalg import partial_trace, von_neumann_entropy
 from mqdimer.sweep import CSV_COLUMNS, SweepConfig, read_csv
 
 BOUNDARY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -73,7 +80,9 @@ def finite_or_typed_error(call):
         result = call()
     except MqDimerError:
         return
-    parts = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    parts = result if isinstance(result, tuple) else (result,)
     for part in parts:
         assert np.isfinite(np.asarray(part, dtype=complex)).all(), result
 
@@ -126,6 +135,51 @@ def test_measurement_directions(n, measured):
     finite_or_typed_error(lambda: conditional_entropy_many(RHO_EVOLVED, n, measured))
     finite_or_typed_error(lambda: conditional_entropy(RHO_EVOLVED, n, measured))
     finite_or_typed_error(lambda: projector_pair(n))
+
+
+def _psd_state(entries):
+    # m m^H over its trace: a state when the drawn entries allow one, NaN or inf otherwise
+    with np.errstate(all="ignore"):
+        m = np.reshape(entries, (4, 4))
+        m = m @ m.conj().T
+        return m / np.trace(m)
+
+
+STATES = st.one_of(
+    VALUES,
+    st.lists(ANY_FLOAT, min_size=16, max_size=16).map(lambda v: np.reshape(v, (4, 4))),
+    st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=16, max_size=16)
+    .map(_psd_state),
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=16, max_size=16).map(_psd_state),
+    st.sampled_from([RHO_EVOLVED, RHO0, np.eye(4) / 4.0, np.eye(2) / 2.0, np.eye(3) / 3.0,
+                     RHO_EVOLVED.T, RHO_EVOLVED + 1e-10, [[1.0, 0.0], [0.0]], "x"]),
+)
+MEASURED = st.one_of(
+    st.sampled_from([1, 2, np.int64(1), np.int8(2), True, False, 2.0, np.array(2), np.array([1]),
+                     "2", None]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    ANY_FLOAT,
+)
+STATE_CALLS = {
+    "discord": discord,
+    "classical_correlations": classical_correlations,
+    "minimize_conditional_entropy": minimize_conditional_entropy,
+    "conditional_entropy": lambda rho, measured: conditional_entropy(rho, [0, 0.6, 0.8], measured),
+    "conditional_entropy_many": lambda rho, measured: conditional_entropy_many(
+        rho, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], measured),
+    "mutual_information": lambda rho, measured: mutual_information(rho),
+    "von_neumann_entropy": lambda rho, measured: von_neumann_entropy(rho),
+    "require_state": lambda rho, measured: require_state(rho),
+    "concurrence_numeric": lambda rho, measured: concurrence_numeric(rho),
+    "partial_trace": lambda rho, measured: partial_trace(RHO_EVOLVED, measured),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CALLS))
+@BOUNDARY
+@given(rho=STATES, measured=MEASURED)
+def test_state_and_spin_inputs(name, rho, measured):
+    finite_or_typed_error(lambda: STATE_CALLS[name](rho, measured))
 
 
 #: what a config file may hold for a field: ints (some above 1e308), integral and

@@ -66,11 +66,15 @@ class TestSweepConfig:
         {"points": True}, {"points": 4.0}, {"measured_subsystem": True},
         {"measured_subsystem": 1.5}, {"measured_subsystem": 2.0}, {"output_path": None},
         {"output_path": 5}, {"output_path": ""}, {"output_path": "."}, {"output_path": "a\0b"},
-        {"output_path": "\ud800"},
+        {"output_path": "\ud800"}, {"tau_bar_start": True}, {"tau_bar_end": np.True_},
+        {"measured_subsystem": np.array(2)},
     ], ids=ascii)
     def test_integer_and_path_fields_are_typed(self, field):
         with pytest.raises(InvalidConfig):
             SweepConfig(**field).check()
+
+    def test_numpy_integer_measured_subsystem(self):
+        SweepConfig(measured_subsystem=np.int64(1)).check()
 
     def test_rejects_non_bool_renormalize(self):
         for value in ("false", "true", 1, 0, None):
@@ -435,6 +439,7 @@ class TestCliProcess:
     @pytest.mark.parametrize("values", [
         {"measured_subsystem": 1.5}, {"measured_subsystem": True}, {"points": True},
         {"points": "4.5"}, {"output_path": None}, {"output_path": 5}, {"output_path": ""},
+        {"tau_bar_start": True}, {"b": True}, {"alpha": True, "beta": 0},
     ], ids=str)
     def test_ill_typed_config_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                                  values):
@@ -456,6 +461,22 @@ class TestCliProcess:
         cfg = _sweep_config(args, None)
         assert (cfg.points, cfg.measured_subsystem) == (4, 1)
         assert type(cfg.points) is int and type(cfg.measured_subsystem) is int
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        # the cached parser gives a fresh result per call: no value leaks into the next
+        assert build_parser() is build_parser()
+        argv = ["sweep", "--points", "4", "--quantities", "g0"]
+        assert main([*argv, "--b", "2", "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "c")]) == 0
+        first, second, third = ((tmp_path / f"{n}.csv").read_bytes() for n in "abc")
+        assert first != second == third
+        capsys.readouterr()
+        outputs = []
+        for argv in (["state", "--b", "3"], ["state"], ["state"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1] == outputs[2]
 
     def test_main_callable_directly(self, tmp_path, capsys):
         code = main(["sweep", "--points", "4", "--out", str(tmp_path / "m.csv")])
