@@ -221,7 +221,7 @@ def _entropies(rho: np.ndarray, spectrum: np.ndarray) -> tuple[float, ...]:
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_1) + S(rho_2) - S(rho), in bits."""
-    s1, s2, s12 = _entropies(*_checked_state(rho))
+    s1, s2, s12 = _entropies(*_checked_state(rho)[:2])
     return s1 + s2 - s12
 
 
@@ -232,7 +232,7 @@ def classical_correlations(rho, measured: int = 2) -> float:
 
 def discord(rho, measured: int = 2) -> DiscordResult:
     """Quantum discord: mutual information minus classical correlations."""
-    rho, spectrum = _checked_state(rho)
+    rho, spectrum, _ = _checked_state(rho)
     measured = _spin_label(measured)
     best_dir, min_ce = _minimize(rho, measured)
     s1, s2, s12 = _entropies(rho, spectrum)

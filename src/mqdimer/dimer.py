@@ -7,7 +7,7 @@ exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
 
 Each input rule lives here once (times in param_tau_bar; states in linalg): a bad
-input, a bool for a number too, raises InvalidParams. The closed forms take one time
+input, a bool or text for a number too, raises InvalidParams. The closed forms take one time
 or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 """
 
@@ -68,9 +68,9 @@ class DimerParams:
 
 
 def _number(x, name: str, kind=float):
-    """x as one Python float (or complex); anything else, a bool too, raises InvalidParams."""
+    """x as one Python float (or complex); anything else, a bool or text too: InvalidParams."""
     try:
-        if np.ndim(x) == 0 and np.asarray(x).dtype != bool:
+        if np.ndim(x) == 0 and not _bool_or_text(x):
             return kind(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -93,10 +93,17 @@ def _coupling(d) -> float:
     return d
 
 
+def _bool_or_text(x) -> bool:
+    """Whether x is or holds a bool, str or bytes, each of which numpy would read as a number."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return x.dtype.kind in "bSU"
+    return any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(x, object).flat)
+
+
 def finite_array(x, name: str) -> np.ndarray:
-    """x as a float ndarray; a bool, or a NaN or +-inf anywhere, raises InvalidParams."""
+    """x as a float ndarray; a bool, text, or a NaN or +-inf anywhere, raises InvalidParams."""
     try:
-        if np.asarray(x).dtype == bool:
+        if _bool_or_text(x):
             raise TypeError
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError):

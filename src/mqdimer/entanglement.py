@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coherence import initial_polarization
-from .dimer import DimerParams, as_float, finite_array, param_tau_bar, require_state
-from .linalg import PAULI_Y, kron
+from .dimer import DimerParams, as_float, finite_array, param_tau_bar
+from .linalg import PAULI_Y, _checked_state, kron
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
 
@@ -20,16 +20,14 @@ def spin_flip(rho) -> np.ndarray:
 def concurrence_spectrum(rho) -> np.ndarray:
     """Descending square roots of the eigenvalues of rho @ spin_flip(rho).
 
-    Evaluated as the singular values of sqrt(rho) K conj(sqrt(rho)) with
-    K = sigma_y x sigma_y, which has the same values but avoids the square
-    root of eigensolver noise on the rank-deficient product (that noise,
-    about 1e-16, would otherwise surface as errors of order 1e-8).
+    Evaluated as the singular values of R^T K R, with K = sigma_y x sigma_y and
+    R = V sqrt(w) from the state check's eigh (rho = R R^H). That matrix is
+    sqrt(rho) K conj(sqrt(rho)) up to unitaries, so it has the same values, and it
+    never takes the square root of eigensolver noise (1e-16 noise, 1e-8 error).
     """
-    rho = require_state(rho)
-    w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    core = root @ SPIN_FLIP_KERNEL @ root.conj()
-    return np.sort(np.linalg.svd(core, compute_uv=False))[::-1]
+    _, w, v = _checked_state(rho)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    return np.sort(np.linalg.svd(root.T @ SPIN_FLIP_KERNEL @ root, compute_uv=False))[::-1]
 
 
 def concurrence_numeric(rho) -> float:

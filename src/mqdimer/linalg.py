@@ -42,9 +42,13 @@ def eig_hermitian(m):
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:
-    """Trace out one spin of a 4x4 two-spin operator, keeping subsystem 1 or 2."""
+    """Trace out one spin of a 4x4 two-spin operator, keeping subsystem 1 or 2; NotAState
+    for another shape or for a result that is not finite (a NaN entry, an overflow)."""
     subscripts = "ikjk->ij" if _spin_label(keep, "keep") == 1 else "ikil->kl"
-    return np.einsum(subscripts, np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2))
+    reduced = np.einsum(subscripts, _matrix(rho).reshape(2, 2, 2, 2))
+    if not np.isfinite(reduced).all():
+        raise NotAState(f"partial trace {reduced.tolist()!r} is not finite")
+    return reduced
 
 
 def _spin_label(label, name: str = "measured subsystem") -> int:
@@ -54,25 +58,31 @@ def _spin_label(label, name: str = "measured subsystem") -> int:
     raise BadSubsystemId(f"{name} must be 1 or 2, got {label!r}")
 
 
-def _checked_state(rho, shapes=((4, 4),)) -> tuple[np.ndarray, np.ndarray]:
-    """rho as a complex ndarray of one of `shapes` and its ascending eigvalsh spectrum;
-    NotAState unless Hermitian, of trace 1 and with no eigenvalue below EIGVAL_FLOOR."""
+def _matrix(m, shapes=((4, 4),)) -> np.ndarray:
+    """m as a complex ndarray of one of `shapes`; NotAState for anything else."""
     try:
-        rho = np.asarray(rho, dtype=complex)
+        m = np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError):
-        raise NotAState(f"expected a matrix of numbers, got {rho!r}") from None
-    if rho.shape not in shapes:
-        raise NotAState(f"expected shape {' or '.join(map(str, shapes))}, got {rho.shape}")
+        raise NotAState(f"expected a matrix of numbers, got {m!r}") from None
+    if m.shape not in shapes:
+        raise NotAState(f"expected shape {' or '.join(map(str, shapes))}, got {m.shape}")
+    return m
+
+
+def _checked_state(rho, shapes=((4, 4),)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho as a complex ndarray of one of `shapes`, with its one eigh: ascending values and
+    their vectors; NotAState unless Hermitian, of trace 1 and no value below EIGVAL_FLOOR."""
+    rho = _matrix(rho, shapes)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
         defect, tr = hermiticity_defect(rho), complex(np.trace(rho))
     if not defect <= HERMITICITY_TOL:
         raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     if not abs(tr - 1.0) <= STATE_TRACE_TOL:
         raise NotAState(f"trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}")
-    spectrum = np.linalg.eigvalsh(rho)
+    spectrum, vectors = np.linalg.eigh(rho)
     if not spectrum[0] >= EIGVAL_FLOOR:
         raise NotAState(f"eigenvalue {spectrum[0]:.3e} below {EIGVAL_FLOOR:.1e}")
-    return rho, spectrum
+    return rho, spectrum, vectors
 
 
 def _entropy_bits(spectrum: np.ndarray) -> float:

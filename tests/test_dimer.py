@@ -9,6 +9,7 @@ from mqdimer import (
     DimerParams,
     analytic_intensities,
     concurrence_analytic,
+    direction,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
@@ -279,7 +280,9 @@ class TestEvolution:
             with pytest.raises(InvalidParams, match=repr(bad)):
                 call()
 
-    @pytest.mark.parametrize("times", [True, np.array([False, True])], ids=["bool", "bool array"])
+    @pytest.mark.parametrize("times", [True, np.array([False, True]), [0.5, True],
+                                       np.array([0.5, np.True_], dtype=object)],
+                             ids=["bool", "bool array", "bool in a list", "bool object array"])
     def test_a_bool_is_not_a_time(self, times):
         p = DimerParams(1.0, 0.0, 2.0)
         for call in (
@@ -289,6 +292,24 @@ class TestEvolution:
         ):
             with pytest.raises(InvalidParams):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        lambda p: evolve_analytic(p, tau_bar="0.5"),
+        lambda p: DimerParams("0.6", "0.8", "2"),
+        lambda p: analytic_intensities(p, tau_bar=np.array(["0.1"])),
+        lambda p: direction("0", "0"),
+        lambda p: concurrence_analytic(p, b"0.5"),
+        lambda p: DimerParams(0.6, 0.8, 2.0, d=np.str_("1.5")),
+        lambda p: analytic_intensities(p, tau_bar=np.array(["0.1", 0.2], dtype=object)),
+        lambda p: evolve_analytic(p, tau_bar=np.array("0.5", dtype=object)),
+        lambda p: concurrence_analytic(p, tau_bar=[0.1, "0.2"]),
+    ], ids=["evolve_analytic str", "DimerParams str", "analytic_intensities str array",
+            "direction str", "concurrence_analytic bytes", "d numpy str", "object array with str",
+            "0-d object array of str", "str in a list"])
+    def test_text_is_not_a_number(self, call):
+        # text is parsed by the CLI; numpy would read "0.5" as 0.5 inside the library
+        with pytest.raises(InvalidParams, match="must be a number"):
+            call(DimerParams(0.6, 0.8, 2.0))
 
     @pytest.mark.parametrize("big", [1e308, -2.0**1023])
     def test_rejects_a_time_whose_double_overflows(self, big):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mqdimer import (
     DimerParams,
     classical_correlations,
+    concurrence_numeric,
     conditional_entropy,
     conditional_entropy_many,
     direction,
@@ -18,9 +19,10 @@ from mqdimer import (
     minimize_conditional_entropy,
     mutual_information,
     projector_pair,
+    require_state,
 )
 from mqdimer.errors import BadSubsystemId, InvalidParams, NotAState, NotUnitVector
-from mqdimer.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
+from mqdimer.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, von_neumann_entropy
 
 from oracles import (
     bell_phi_plus,
@@ -395,6 +397,18 @@ class TestDiscord:
         assert r1.q >= -1e-9 and r2.q >= -1e-9
 
 
+def recorded_eigensolves(monkeypatch) -> list:
+    """Record (name, matrix shape) of every np.linalg.eigh and eigvalsh call from now on."""
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(m, *args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, np.shape(m)))
+            return _inner(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return solves
+
+
 class TestDiscordPipeline:
     """discord and the functions that give its parts share one checked pipeline."""
 
@@ -435,14 +449,13 @@ class TestDiscordPipeline:
         assert type(result.measured_subsystem) is int and result.measured_subsystem == 2
 
     def test_checks_its_inputs_once(self, states, monkeypatch):
-        """One state check, one spin check, and one eigvalsh of the 4x4 state per
+        """One state check, one spin check, and one eigensolve of the 4x4 state per
         discord call; S(rho) reuses that spectrum, and the public
         von_neumann_entropy is not called."""
         import mqdimer.correlations as corr
         import mqdimer.linalg as linalg
 
         calls = {"_checked_state": 0, "_spin_label": 0, "von_neumann_entropy": 0}
-        spectra = []
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -456,13 +469,24 @@ class TestDiscordPipeline:
         counted(corr, "_checked_state")
         counted(corr, "_spin_label")
         counted(linalg, "von_neumann_entropy")
-        eigvalsh = np.linalg.eigvalsh
-
-        def recorded(m):
-            spectra.append(np.shape(m))
-            return eigvalsh(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        solves = recorded_eigensolves(monkeypatch)
         discord(states[0], 1)
         assert calls == {"_checked_state": 1, "_spin_label": 1, "von_neumann_entropy": 0}
-        assert sorted(spectra) == [(2, 2), (2, 2), (4, 4)]
+        assert [shape for _, shape in solves].count((4, 4)) == 1
+        assert sorted(solve for solve in solves if solve[1] != (4, 4)) == [("eigvalsh", (2, 2))] * 2
+
+    @pytest.mark.parametrize("call, reduced_solves", [
+        (mutual_information, 2), (concurrence_numeric, 0), (von_neumann_entropy, 0),
+        (require_state, 0),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_one_4x4_eigensolve_per_state_quantity(self, states, monkeypatch, call,
+                                                   reduced_solves):
+        # the state check's eigh is the only 4x4 solve; the reduced states take one eigvalsh each
+        solves = recorded_eigensolves(monkeypatch)
+        for rho in states[::2]:
+            solves.clear()
+            call(rho)
+            assert [shape for _, shape in solves].count((4, 4)) == 1
+            assert ([solve for solve in solves if solve[1] != (4, 4)]
+                    == [("eigvalsh", (2, 2))] * reduced_solves)
+

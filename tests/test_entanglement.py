@@ -86,9 +86,13 @@ class TestConcurrenceNumeric:
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(13)
+        cases = [random_evolved_state(rng) for _ in range(1000)]
+        # b = 800: the thermal weight w1 underflows to 0, so the state has rank 1
+        cases += [(DimerParams(alpha, beta, 800.0), tb) for alpha, beta in ((1.0, 0.0), (0.6, 0.8j))
+                  for tb in np.linspace(0.0, math.pi, 7)]
+        assert DimerParams(0.6, 0.8j, 800.0).thermal_weights == (1.0, 0.0)
         worst = 0.0
-        for _ in range(1000):
-            p, tb = random_evolved_state(rng)
+        for p, tb in cases:
             diff = abs(
                 concurrence_numeric(evolve_analytic(p, tau_bar=tb))
                 - concurrence_analytic(p, tau_bar=tb)

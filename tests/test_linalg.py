@@ -136,6 +136,16 @@ class TestPartialTrace:
         with pytest.raises(BadSubsystemId):
             linalg.partial_trace(np.eye(4) / 4.0, 3)
 
+    @pytest.mark.parametrize("operator, message", [
+        (np.eye(3), r"shape \(4, 4\)"), (np.eye(2), r"shape \(4, 4\)"), (np.ones(16), "shape"),
+        ("x", "matrix of numbers"), ([[1.0, 0.0], [0.0]], "matrix of numbers"),
+        (np.full((4, 4), np.nan), "not finite"), (np.full((4, 4), 1e308), "not finite"),
+    ], ids=["3x3", "2x2", "flat 16", "word", "ragged", "NaN", "overflow"])
+    def test_operator_must_be_4x4_with_a_finite_trace(self, operator, message):
+        for keep in (1, 2):
+            with pytest.raises(NotAState, match=message):
+                linalg.partial_trace(operator, keep)
+
     @pytest.mark.parametrize("keep", [True, 2.0, np.array(2), np.array([2]), "2", None],
                              ids=["bool", "float", "0-d array", "array", "text", "none"])
     def test_subsystem_must_be_an_integer(self, keep):

@@ -1,9 +1,9 @@
 """Property tests at the library and CLI boundaries.
 
 Every public function that takes a time, DimerParams, the functions that
-take a measurement direction and those that take a state or a spin label
-either return finite numbers or raise an MqDimerError, whatever they are
-given: a scalar, an array, a non-finite or huge number, None or a string.
+take a measurement direction and those that take a state, an operator or
+a spin label either return finite numbers or raise an MqDimerError,
+whatever they are given: a scalar, an array, a non-finite or huge number, None or a string.
 Any value of a SweepConfig field in a --config file makes the CLI exit 0
 or 2. The examples are derandomized, so every run draws the same ones.
 """
@@ -171,7 +171,7 @@ STATE_CALLS = {
     "von_neumann_entropy": lambda rho, measured: von_neumann_entropy(rho),
     "require_state": lambda rho, measured: require_state(rho),
     "concurrence_numeric": lambda rho, measured: concurrence_numeric(rho),
-    "partial_trace": lambda rho, measured: partial_trace(RHO_EVOLVED, measured),
+    "partial_trace": lambda rho, measured: partial_trace(rho, measured),
 }
 
 

@@ -295,7 +295,7 @@ class TestPresetBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["fig1"], "200fa6873a2205c1e85db73b7685c8415e7345273e2e3f33a4cf438fafcbc26a"),
         (["fig2", "--points", "21"],
-         "d27f95eb619b1b691fa7754ea6b082a82744160a49b61707338089d7356320ca"),
+         "efe4517a6a4803871ff8836e7c4f6766161ae9ea9d0f47d3a675a7fd8e91a327"),
     ])
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
@@ -308,6 +308,9 @@ class TestPresetBytes:
 
 
 class TestCliProcess:
+    """`python -m mqdimer` runs for the process boundary (fig1, an exit 2 with its stderr,
+    the exit-3 I/O error); every other CLI test calls main(argv) in process."""
+
     def test_fig1_preset(self, tmp_path):
         out = tmp_path / "f1"
         proc = run_cli("fig1", "--out", str(out))
@@ -319,27 +322,26 @@ class TestCliProcess:
         peak = float(np.max(data["j2"]))
         assert abs(peak - math.exp(10.0) / (math.exp(10.0) + 1.0)) <= 1e-12
 
-    def test_fig1_deterministic(self, tmp_path):
+    def test_fig1_deterministic(self, tmp_path, capsys):
         pa, pb = tmp_path / "a", tmp_path / "b"
-        assert run_cli("fig1", "--out", str(pa)).returncode == 0
-        assert run_cli("fig1", "--out", str(pb)).returncode == 0
+        assert main(["fig1", "--out", str(pa)]) == 0
+        assert main(["fig1", "--out", str(pb)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_fig2_reduced(self, tmp_path):
+    def test_fig2_reduced(self, tmp_path, capsys):
         out = tmp_path / "f2"
-        proc = run_cli("fig2", "--points", "5", "--tau-end", "1.0", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        assert main(["fig2", "--points", "5", "--tau-end", "1.0", "--out", str(out)]) == 0, \
+            capsys.readouterr().err
         data = read_csv(tmp_path / "f2.csv")
         assert data["discord"] is not None
         assert data["g0"] is None
 
-    def test_state_subcommand(self):
-        proc = run_cli("state", "--alpha", "1", "--beta", "0", "--b", "10",
-                       "--tau-bar", str(math.pi / 4.0))
-        assert proc.returncode == 0
-        assert "0.499977301i" in proc.stdout
+    def test_state_subcommand(self, capsys):
+        assert main(["state", "--alpha", "1", "--beta", "0", "--b", "10",
+                     "--tau-bar", str(math.pi / 4.0)]) == 0
+        assert "0.499977301i" in capsys.readouterr().out
 
-    def test_sweep_with_config_and_override(self, tmp_path):
+    def test_sweep_with_config_and_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({
             "alpha": "1", "beta": "0", "b": 10.0,
@@ -347,52 +349,56 @@ class TestCliProcess:
             "points": 4, "quantities": ["g0"],
             "output_path": str(tmp_path / "from_config.csv"),
         }))
-        proc = run_cli("sweep", "--config", str(cfg_file), "--points", "6")
-        assert proc.returncode == 0, proc.stderr
+        assert main(["sweep", "--config", str(cfg_file), "--points", "6"]) == 0, \
+            capsys.readouterr().err
         lines = (tmp_path / "from_config.csv").read_text().splitlines()
         assert len(lines) == 7  # flag overrides the config file
 
-    def test_invalid_config_exit_codes(self, tmp_path):
-        assert run_cli("sweep", "--points", "1").returncode == 2
-        assert run_cli("sweep", "--tau-start", "1.0", "--tau-end", "0.0").returncode == 2
-        assert run_cli("sweep", "--quantities", "bogus").returncode == 2
-        assert run_cli("state", "--alpha", "1.0,x2").returncode == 2
-        assert run_cli("sweep", "--alpha", "1", "--beta", "1").returncode == 2
+    def test_invalid_config_exit_codes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--points", "1"]) == 2
+        assert main(["sweep", "--tau-start", "1.0", "--tau-end", "0.0"]) == 2
+        assert main(["sweep", "--quantities", "bogus"]) == 2
+        assert main(["state", "--alpha", "1.0,x2"]) == 2
+        assert main(["sweep", "--alpha", "1", "--beta", "1"]) == 2
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text("{\"mystery\": 1}")
-        assert run_cli("sweep", "--config", str(cfg_file)).returncode == 2
+        assert main(["sweep", "--config", str(cfg_file)]) == 2
         cfg_file.write_text("{\"b\": \"warm\"}")
-        assert run_cli("sweep", "--config", str(cfg_file)).returncode == 2
+        assert main(["sweep", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
-    def test_non_finite_tau_bar_exit_code(self):
-        for value in ("nan", "inf"):
-            proc = run_cli("state", "--tau-bar", value)
-            assert proc.returncode == 2, (value, proc.stdout)
-            assert proc.stdout == ""
+    def test_non_finite_tau_bar_exit_code(self, capsys):
+        proc = run_cli("state", "--tau-bar", "nan")
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stdout == ""
+        assert proc.stderr == "error: tau_bar must be finite, got nan\n"
+        assert main(["state", "--tau-bar", "inf"]) == 2
+        assert capsys.readouterr() == ("", "error: tau_bar must be finite, got inf\n")
 
-    def test_renormalize_must_be_json_bool(self, tmp_path):
+    def test_renormalize_must_be_json_bool(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"alpha": "2", "renormalize": "false", "points": 4,
                                         "output_path": str(tmp_path / "r.csv")}))
-        proc = run_cli("sweep", "--config", str(cfg_file))
-        assert proc.returncode == 2, proc.stderr
+        assert main(["sweep", "--config", str(cfg_file)]) == 2
+        assert "renormalize" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_io_error_exit_code(self):
         proc = run_cli("sweep", "--points", "4", "--out", "/no_such_dir_zz/x.csv")
         assert proc.returncode == 3
 
-    def test_seed_flag_removed(self, tmp_path):
-        proc = run_cli("sweep", "--points", "4", "--seed", "7",
-                       "--out", str(tmp_path / "s.csv"))
-        assert proc.returncode == 2
-        assert "--seed" in proc.stderr
+    def test_seed_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--points", "4", "--seed", "7", "--out", str(tmp_path / "s.csv")])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_svg_format(self, tmp_path):
-        proc = run_cli("sweep", "--points", "8", "--format", "svg",
-                       "--out", str(tmp_path / "pic"))
-        assert proc.returncode == 0
+    def test_svg_format(self, tmp_path, capsys):
+        assert main(["sweep", "--points", "8", "--format", "svg",
+                     "--out", str(tmp_path / "pic")]) == 0
         assert (tmp_path / "pic.svg").read_text().startswith("<svg")
 
     def test_every_sweep_flag_sets_its_field(self):
