@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimer import DimerParams, as_float, param_tau_bar
-from .errors import NonRealIntensity
+from .errors import InvalidParams, NonRealIntensity
+from .linalg import _finite_matrix
 
 ORDERS = (-2, -1, 0, 1, 2)
 INTENSITY_IMAG_TOL = 1e-9
@@ -24,14 +25,18 @@ _ENTRY_ORDER = _MZ[:, None] - _MZ[None, :]
 
 
 def decompose(m) -> dict[int, np.ndarray]:
-    """Split a 4x4 matrix by coherence order; components sum back to m."""
-    m = np.asarray(m, dtype=complex)
+    """Split a 4x4 matrix of finite entries by coherence order; components sum back to m.
+    NotAState for anything else."""
+    m = _finite_matrix(m)
     return {n: np.where(_ENTRY_ORDER == n, m, 0.0) for n in ORDERS}
 
 
 def intensity(rho_comps: dict, ht_comps: dict, n: int) -> float:
     """Observable intensity of order n: Tr of the order-n state component
-    against the order-(-n) reference component."""
+    against the order-(-n) reference component. n is an int or numpy integer in ORDERS, not
+    a bool; InvalidParams otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n not in ORDERS:
+        raise InvalidParams(f"order n must be an integer in {ORDERS}, got {n!r}")
     value = complex(np.trace(rho_comps[n] @ ht_comps[-n]))
     if abs(value.imag) > INTENSITY_IMAG_TOL:
         raise NonRealIntensity(f"imaginary residue {value.imag:.3e} exceeds {INTENSITY_IMAG_TOL:.1e}")

@@ -4,7 +4,9 @@ The measured spin is selectable (default: spin 2, the thermal one). All
 entropies are in bits. Measuring the projector Pi_n = (I + n.sigma)/2
 leaves the unmeasured spin in the partial trace over the measured spin of
 rho Pi_n, which is affine in n, so one kernel call evaluates the
-conditional entropy for a whole batch of directions. The minimizer is
+conditional entropy for a whole batch of directions. Each spin's reduced
+state is the first row of the other spin's basis, so the one-spin
+entropies need no partial trace and no 2x2 eigensolve. The minimizer is
 deterministic: a fixed spherical grid, then one compass search that
 refines the best five grid points together, with stable tie-breaking, so
 repeated runs are bit-identical.
@@ -19,8 +21,7 @@ import numpy as np
 
 from .dimer import _number, finite_array
 from .errors import NotUnitVector
-from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _spin_label,
-                     partial_trace)
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _spin_label
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
@@ -200,12 +201,11 @@ def minimize_conditional_entropy(rho, measured: int = 2):
     REFINE_STEP_MIN); a flat objective returns the first grid point, the
     north pole.
     """
-    return _minimize(_checked_state(rho)[0], _spin_label(measured))
+    return _minimize(_measurement_basis(_checked_state(rho)[0], _spin_label(measured)))
 
 
-def _minimize(rho: np.ndarray, measured: int):
-    # minimize_conditional_entropy on a checked state and subsystem
-    basis = _measurement_basis(rho, measured)
+def _minimize(basis: np.ndarray):
+    # minimize_conditional_entropy on the measurement basis of a checked state
     grid_values = _cond_entropy_core(basis, _GRID_DIRS)
     order = np.argsort(grid_values, kind="stable")[:REFINE_STARTS]
     dirs, values = _refine(basis, grid_values, order)
@@ -213,15 +213,17 @@ def _minimize(rho: np.ndarray, measured: int):
     return _canonical_direction(dirs[best]), float(values[best])
 
 
-def _entropies(rho: np.ndarray, spectrum: np.ndarray) -> tuple[float, ...]:
-    # (S(rho_1), S(rho_2), S(rho)) of a checked state and its spectrum, with no second check
-    s1, s2 = (_entropy_bits(np.linalg.eigvalsh(partial_trace(rho, k))) for k in (1, 2))
+def _entropies(bases: dict, spectrum: np.ndarray) -> tuple[float, ...]:
+    # (S(rho_1), S(rho_2), S(rho)); a reduced state of trace t has eigenvalues t/2 -/+ |row[1:]|
+    s1, s2 = (_entropy_bits(0.5 * row[0] + np.linalg.norm(row[1:]) * np.array([-1.0, 1.0]))
+              for row in (bases[2][0], bases[1][0]))
     return s1, s2, _entropy_bits(spectrum)
 
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_1) + S(rho_2) - S(rho), in bits."""
-    s1, s2, s12 = _entropies(*_checked_state(rho)[:2])
+    rho, spectrum, _ = _checked_state(rho)
+    s1, s2, s12 = _entropies({k: _measurement_basis(rho, k) for k in (1, 2)}, spectrum)
     return s1 + s2 - s12
 
 
@@ -234,8 +236,9 @@ def discord(rho, measured: int = 2) -> DiscordResult:
     """Quantum discord: mutual information minus classical correlations."""
     rho, spectrum, _ = _checked_state(rho)
     measured = _spin_label(measured)
-    best_dir, min_ce = _minimize(rho, measured)
-    s1, s2, s12 = _entropies(rho, spectrum)
+    bases = {k: _measurement_basis(rho, k) for k in (1, 2)}
+    best_dir, min_ce = _minimize(bases[measured])
+    s1, s2, s12 = _entropies(bases, spectrum)
     classical = (s2 if measured == 1 else s1) - min_ce
     mutual = s1 + s2 - s12
     q = mutual - classical

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import _checked_state, eig_hermitian, kron
+from .linalg import _checked_state, _finite_matrix, eig_hermitian, kron
 
 NORMALIZATION_TOL = 1e-9
 
@@ -169,9 +169,11 @@ def propagator(d=None, tau=None, *, tau_bar=None) -> np.ndarray:
 
 
 def evolve_numeric(rho0, d=None, tau=None, *, tau_bar=None) -> np.ndarray:
-    """Conjugate a state by the propagator: U rho0 U^H."""
+    """Conjugate a 4x4 matrix of finite entries by the propagator: U rho0 U^H; NotAState
+    for anything else."""
+    rho0 = _finite_matrix(rho0)
     u = propagator(d, tau, tau_bar=tau_bar)
-    return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
+    return u @ rho0 @ u.conj().T
 
 
 def evolve_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> np.ndarray:
@@ -220,5 +222,4 @@ def ht_reference(d=None, tau=None, *, tau_bar=None) -> np.ndarray:
 
     Traceless, Hermitian, and supported on coherence orders 0 and +/-2 only.
     """
-    u = propagator(d, tau, tau_bar=tau_bar)
-    return u @ IZ_TOTAL @ u.conj().T
+    return evolve_numeric(IZ_TOTAL, d, tau, tau_bar=tau_bar)

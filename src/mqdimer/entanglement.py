@@ -6,15 +6,15 @@ import numpy as np
 
 from .coherence import initial_polarization
 from .dimer import DimerParams, as_float, finite_array, param_tau_bar
-from .linalg import PAULI_Y, _checked_state, kron
+from .linalg import PAULI_Y, _checked_state, _finite_matrix, kron
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
 
 
 def spin_flip(rho) -> np.ndarray:
-    """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    return SPIN_FLIP_KERNEL @ rho.conj() @ SPIN_FLIP_KERNEL
+    """Spin-flipped state (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) of a 4x4 matrix
+    of finite entries; NotAState for anything else."""
+    return SPIN_FLIP_KERNEL @ _finite_matrix(rho).conj() @ SPIN_FLIP_KERNEL
 
 
 def concurrence_spectrum(rho) -> np.ndarray:

@@ -28,14 +28,17 @@ def hermiticity_defect(m) -> float:
 
 
 def eig_hermitian(m):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix.
 
     Returns (values, vectors) with values sorted descending and vectors the
-    matching orthonormal columns, so that m = V diag(values) V^H.
+    matching orthonormal columns, so that m = V diag(values) V^H. NotAState
+    for another shape or a non-numeric matrix, NotHermitian for a matrix that
+    is not Hermitian or not finite.
     """
-    m = np.asarray(m, dtype=complex)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    m = _matrix(m, ((2, 2), (4, 4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
+        defect = hermiticity_defect(m)
+    if not defect <= HERMITICITY_TOL:
         raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
@@ -66,6 +69,14 @@ def _matrix(m, shapes=((4, 4),)) -> np.ndarray:
         raise NotAState(f"expected a matrix of numbers, got {m!r}") from None
     if m.shape not in shapes:
         raise NotAState(f"expected shape {' or '.join(map(str, shapes))}, got {m.shape}")
+    return m
+
+
+def _finite_matrix(m) -> np.ndarray:
+    """m as a complex 4x4 ndarray of finite entries; NotAState for anything else."""
+    m = _matrix(m)
+    if not np.isfinite(m).all():
+        raise NotAState(f"entries must be finite, got {complex(m[~np.isfinite(m)][0])!r}")
     return m
 
 

@@ -14,7 +14,7 @@ from mqdimer import (
     initial_polarization,
     intensity,
 )
-from mqdimer.errors import NonRealIntensity
+from mqdimer.errors import InvalidParams, NonRealIntensity
 
 from oracles import random_amplitudes
 
@@ -108,6 +108,20 @@ class TestIntensity:
         comps_b[-2][3, 0] = 1.0
         with pytest.raises(NonRealIntensity):
             intensity(comps_a, comps_b, 2)
+
+    @pytest.mark.parametrize("n", [3, -3, True, False, 1.0, np.array(1), np.array([1]), "1", None],
+                             ids=["3", "-3", "True", "False", "float", "0-d array", "array", "text",
+                                  "none"])
+    def test_order_must_be_an_integer_in_orders(self, n):
+        comps = decompose(evolve_analytic(DimerParams(0.6, 0.8, 2.0), tau_bar=0.7))
+        with pytest.raises(InvalidParams, match="order n"):
+            intensity(comps, comps, n)
+
+    def test_numpy_integer_order(self):
+        rho_comps = decompose(evolve_analytic(DimerParams(0.6, 0.8, 2.0), tau_bar=0.7))
+        ht_comps = decompose(ht_reference(tau_bar=0.7))
+        for n in ORDERS:
+            assert intensity(rho_comps, ht_comps, np.int8(n)) == intensity(rho_comps, ht_comps, n)
 
 
 class TestAnalyticIntensities:

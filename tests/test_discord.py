@@ -33,6 +33,8 @@ from oracles import (
     random_density_matrix,
     random_directions,
     random_rank_state,
+    ref_entropy_bits,
+    ref_partial_trace,
     zoomed_grid_min,
 )
 
@@ -450,8 +452,8 @@ class TestDiscordPipeline:
 
     def test_checks_its_inputs_once(self, states, monkeypatch):
         """One state check, one spin check, and one eigensolve of the 4x4 state per
-        discord call; S(rho) reuses that spectrum, and the public
-        von_neumann_entropy is not called."""
+        discord call; S(rho) reuses that spectrum, the one-spin entropies need no
+        solve, and the public von_neumann_entropy is not called."""
         import mqdimer.correlations as corr
         import mqdimer.linalg as linalg
 
@@ -472,21 +474,52 @@ class TestDiscordPipeline:
         solves = recorded_eigensolves(monkeypatch)
         discord(states[0], 1)
         assert calls == {"_checked_state": 1, "_spin_label": 1, "von_neumann_entropy": 0}
-        assert [shape for _, shape in solves].count((4, 4)) == 1
-        assert sorted(solve for solve in solves if solve[1] != (4, 4)) == [("eigvalsh", (2, 2))] * 2
+        assert solves == [("eigh", (4, 4))]
+        assert not hasattr(corr, "partial_trace")
 
-    @pytest.mark.parametrize("call, reduced_solves", [
-        (mutual_information, 2), (concurrence_numeric, 0), (von_neumann_entropy, 0),
-        (require_state, 0),
-    ], ids=lambda x: getattr(x, "__name__", None))
-    def test_one_4x4_eigensolve_per_state_quantity(self, states, monkeypatch, call,
-                                                   reduced_solves):
-        # the state check's eigh is the only 4x4 solve; the reduced states take one eigvalsh each
+    @pytest.mark.parametrize("call", [
+        mutual_information, concurrence_numeric, von_neumann_entropy, require_state,
+    ], ids=lambda call: call.__name__)
+    def test_one_4x4_eigensolve_per_state_quantity(self, states, monkeypatch, call):
+        # the state check's eigh is the only solve
         solves = recorded_eigensolves(monkeypatch)
         for rho in states[::2]:
             solves.clear()
             call(rho)
-            assert [shape for _, shape in solves].count((4, 4)) == 1
-            assert ([solve for solve in solves if solve[1] != (4, 4)]
-                    == [("eigvalsh", (2, 2))] * reduced_solves)
+            assert solves == [("eigh", (4, 4))]
+
+
+def spot_states() -> dict:
+    """Seeded evolved states and random rank-2/3/4 states, then edge cases: I/4, a Bell
+    state, a pure product state and evolved pure (rank-1) states at b = 800."""
+    rng = np.random.default_rng(1701)
+    states = {f"evolved {i}": evolve_analytic(
+        DimerParams(*random_amplitudes(rng), rng.uniform(0.0, 8.0)),
+        tau_bar=rng.uniform(0.0, 2.0 * math.pi)) for i in range(8)}
+    states.update({f"rank {rank}, smallest {smallest}": random_rank_state(rng, rank, smallest)
+                   for rank in (2, 3, 4) for smallest in (1e-5, 0.05)})
+    states.update({"I/4": np.eye(4) / 4.0, "Bell": bell_phi_plus(),
+                   "pure product": initial_state(DimerParams(0.6, 0.8j, 800.0))})
+    states.update({f"pure, b 800, tau_bar {tb:.3f}": evolve_analytic(
+        DimerParams(ISQ, ISQ, 800.0), tau_bar=tb) for tb in (math.pi / 8.0, math.pi / 4.0, 1.0)})
+    return states
+
+
+SPOT_STATES = spot_states()
+
+
+class TestOneSpinEntropies:
+    """The one-spin entropies that discord reads from its measurement bases, against the
+    oracle's partial traces and their eigenvalues."""
+
+    @pytest.mark.parametrize("name", SPOT_STATES)
+    def test_match_the_partial_trace_oracle(self, name):
+        rho = SPOT_STATES[name]
+        s1, s2 = (ref_entropy_bits(ref_partial_trace(rho, keep)) for keep in (1, 2))
+        mutual = s1 + s2 - ref_entropy_bits(rho)
+        assert abs(mutual_information(rho) - mutual) <= 1e-13
+        for measured, unmeasured in ((1, s2), (2, s1)):
+            result = discord(rho, measured)
+            assert abs(result.mutual - mutual) <= 1e-13
+            assert abs(result.classical + result.min_cond_entropy - unmeasured) <= 1e-13
 

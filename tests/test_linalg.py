@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mqdimer import linalg
+from mqdimer import decompose, evolve_numeric, linalg, spin_flip
 from mqdimer.errors import BadSubsystemId, NotAState, NotHermitian, SpectrumNotReal
 
 from oracles import bell_phi_plus, eig_general_moduli, random_density_matrix
@@ -69,6 +69,27 @@ class TestEigHermitian:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotHermitian):
             linalg.eig_hermitian(m)
+
+    @pytest.mark.parametrize("m, error", [
+        ("x", NotAState), (np.eye(3), NotAState), (np.ones((3, 2)), NotAState),
+        ([[1.0, 0.0], [0.0]], NotAState), (np.full((2, 2), np.nan), NotHermitian),
+        (np.diag([np.inf, 0.0, 0.0, 0.0]), NotHermitian), (np.full((4, 4), 1e308j), NotHermitian),
+    ], ids=["word", "3x3", "3x2", "ragged", "NaN", "inf", "overflowing defect"])
+    def test_rejects_what_is_not_a_finite_hermitian_2x2_or_4x4(self, m, error):
+        with pytest.raises(error):
+            linalg.eig_hermitian(m)
+
+
+NOT_A_FINITE_4X4 = {"word": "x", "3x3": np.eye(3), "2x2": np.eye(2),
+                    "NaN": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0])}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_FINITE_4X4))
+@pytest.mark.parametrize("call", [lambda m: evolve_numeric(m, tau_bar=1.0), spin_flip, decompose],
+                         ids=["evolve_numeric", "spin_flip", "decompose"])
+def test_matrix_argument_must_be_a_finite_4x4(call, name):
+    with pytest.raises(NotAState):
+        call(NOT_A_FINITE_4X4[name])
 
 
 class TestEigGeneralModuli:

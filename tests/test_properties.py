@@ -30,6 +30,7 @@ from mqdimer import (
     concurrence_numeric,
     conditional_entropy,
     conditional_entropy_many,
+    decompose,
     discord,
     evolve_analytic,
     evolve_numeric,
@@ -40,9 +41,10 @@ from mqdimer import (
     projector_pair,
     propagator,
     require_state,
+    spin_flip,
 )
 from mqdimer.cli import main
-from mqdimer.linalg import partial_trace, von_neumann_entropy
+from mqdimer.linalg import eig_hermitian, partial_trace, von_neumann_entropy
 from mqdimer.sweep import CSV_COLUMNS, SweepConfig, read_csv
 
 BOUNDARY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -172,6 +174,10 @@ STATE_CALLS = {
     "require_state": lambda rho, measured: require_state(rho),
     "concurrence_numeric": lambda rho, measured: concurrence_numeric(rho),
     "partial_trace": lambda rho, measured: partial_trace(rho, measured),
+    "evolve_numeric": lambda rho, measured: evolve_numeric(rho, tau_bar=0.7),
+    "spin_flip": lambda rho, measured: spin_flip(rho),
+    "decompose": lambda rho, measured: tuple(decompose(rho).values()),
+    "eig_hermitian": lambda rho, measured: eig_hermitian(rho),
 }
 
 

@@ -295,8 +295,8 @@ class TestPresetBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["fig1"], "200fa6873a2205c1e85db73b7685c8415e7345273e2e3f33a4cf438fafcbc26a"),
         (["fig2", "--points", "21"],
-         "efe4517a6a4803871ff8836e7c4f6766161ae9ea9d0f47d3a675a7fd8e91a327"),
-    ])
+         "28630e8893e381738f5d95fba4c223e5f9ac8a6643fa45e164936a79705018a1"),
+    ], ids=["fig1", "fig2-21"])
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
         assert hashlib.sha256((tmp_path / "preset.csv").read_bytes()).hexdigest() == digest
