@@ -15,7 +15,7 @@ import numpy as np
 
 from .dimer import DimerParams, as_float, param_tau_bar
 from .errors import InvalidParams, NonRealIntensity
-from .linalg import _finite_matrix
+from .linalg import _finite_matrix, _integer
 
 ORDERS = (-2, -1, 0, 1, 2)
 INTENSITY_IMAG_TOL = 1e-9
@@ -35,8 +35,7 @@ def intensity(rho_comps: dict, ht_comps: dict, n: int) -> float:
     """Observable intensity of order n: Tr of the order-n state component
     against the order-(-n) reference component. n is an int or numpy integer in ORDERS, not
     a bool; InvalidParams otherwise."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n not in ORDERS:
-        raise InvalidParams(f"order n must be an integer in {ORDERS}, got {n!r}")
+    n = _integer(n, ORDERS, "order n", InvalidParams)
     value = complex(np.trace(rho_comps[n] @ ht_comps[-n]))
     if abs(value.imag) > INTENSITY_IMAG_TOL:
         raise NonRealIntensity(f"imaginary residue {value.imag:.3e} exceeds {INTENSITY_IMAG_TOL:.1e}")

@@ -21,7 +21,8 @@ import numpy as np
 
 from .dimer import _number, finite_array
 from .errors import NotUnitVector
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _spin_label
+from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _bool_or_text, _checked_state,
+                     _entropy_bits, _spin_label)
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
@@ -77,8 +78,10 @@ _GRID_DIRS = _directions(_GRID_ANGLES)
 
 
 def _check_directions(dirs) -> np.ndarray:
-    # real numbers only: text, complex numbers, None or ints beyond float range are not converted
+    # real numbers only: bools, text, complex, None or ints beyond float range are not converted
     try:
+        if _bool_or_text(dirs):
+            raise TypeError
         dirs = np.atleast_2d(np.asarray(dirs))
     except (TypeError, ValueError):  # ragged nesting
         raise NotUnitVector(f"expected direction(s) of numbers, got {dirs!r}") from None

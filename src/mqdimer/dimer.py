@@ -6,9 +6,10 @@ alpha|0> + beta|1>, spin 2 in thermal equilibrium with weight
 exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
 
-Each input rule lives here once (times in param_tau_bar; states in linalg): a bad
-input, a bool or text for a number too, raises InvalidParams. The closed forms take one time
-or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
+Each input rule has one owner: param_tau_bar for times; in linalg, _checked_state for
+states, _bool_or_text for numbers (a bool or text is not one) and _integer for integers. A bad
+time or parameter raises InvalidParams. The closed forms take one time or an array of times;
+evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import _checked_state, _finite_matrix, eig_hermitian, kron
+from .linalg import _bool_or_text, _checked_state, _finite_matrix, eig_hermitian, kron
 
 NORMALIZATION_TOL = 1e-9
 
@@ -93,13 +94,6 @@ def _coupling(d) -> float:
     return d
 
 
-def _bool_or_text(x) -> bool:
-    """Whether x is or holds a bool, str or bytes, each of which numpy would read as a number."""
-    if isinstance(x, np.ndarray) and x.dtype != object:
-        return x.dtype.kind in "bSU"
-    return any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(x, object).flat)
-
-
 def finite_array(x, name: str) -> np.ndarray:
     """x as a float ndarray; a bool, text, or a NaN or +-inf anywhere, raises InvalidParams."""
     try:
@@ -170,10 +164,11 @@ def propagator(d=None, tau=None, *, tau_bar=None) -> np.ndarray:
 
 def evolve_numeric(rho0, d=None, tau=None, *, tau_bar=None) -> np.ndarray:
     """Conjugate a 4x4 matrix of finite entries by the propagator: U rho0 U^H; NotAState
-    for anything else."""
+    for anything else or for a result that overflows."""
     rho0 = _finite_matrix(rho0)
     u = propagator(d, tau, tau_bar=tau_bar)
-    return u @ rho0 @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        return _finite_matrix(u @ rho0 @ u.conj().T)
 
 
 def evolve_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> np.ndarray:

@@ -38,9 +38,11 @@ def eig_hermitian(m):
     m = _matrix(m, ((2, 2), (4, 4)))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
         defect = hermiticity_defect(m)
-    if not defect <= HERMITICITY_TOL:
-        raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    vals, vecs = np.linalg.eigh(m)
+        if not defect <= HERMITICITY_TOL:
+            raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
+        vals, vecs = np.linalg.eigh(m)
+    if not np.isfinite(vals).all():
+        raise NotHermitian(f"eigenvalues {vals.tolist()!r} are not finite")
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
@@ -54,16 +56,30 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     return reduced
 
 
-def _spin_label(label, name: str = "measured subsystem") -> int:
-    """label as spin 1 or 2: an int or numpy integer, not a bool; else BadSubsystemId."""
-    if isinstance(label, (int, np.integer)) and not isinstance(label, bool) and label in (1, 2):
-        return int(label)
-    raise BadSubsystemId(f"{name} must be 1 or 2, got {label!r}")
+def _spin_label(label, name: str = "measured subsystem", error=BadSubsystemId) -> int:
+    """label as spin 1 or 2 (the integer rule); else BadSubsystemId or `error`."""
+    return _integer(label, (1, 2), name, error)
+
+
+def _integer(x, allowed, name: str, error) -> int:
+    """x as an int if an int or numpy integer, not a bool, in `allowed` (a run); else error."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and int(x) in allowed:
+        return int(x)
+    raise error(f"{name} must be an integer in {allowed[0]}..{allowed[-1]}, got {x!r}")
+
+
+def _bool_or_text(x) -> bool:
+    """Whether x is or holds a bool, str or bytes, each of which numpy would read as a number."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return x.dtype.kind in "bSU"
+    return any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(x, object).flat)
 
 
 def _matrix(m, shapes=((4, 4),)) -> np.ndarray:
-    """m as a complex ndarray of one of `shapes`; NotAState for anything else."""
+    """m as a complex ndarray of one of `shapes`; NotAState for anything else, bools and text too."""
     try:
+        if _bool_or_text(m):
+            raise TypeError
         m = np.asarray(m, dtype=complex)
     except (TypeError, ValueError, OverflowError):
         raise NotAState(f"expected a matrix of numbers, got {m!r}") from None

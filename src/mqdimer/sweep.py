@@ -15,7 +15,6 @@ per row or per point, and the block size bounds the temporary tuples.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import analytic_intensities
-from .dimer import TAU_BAR_LIMIT, DimerParams, evolve_analytic
+from .dimer import DimerParams, evolve_analytic, param_tau_bar
 from .correlations import discord
 from .entanglement import concurrence_analytic
-from .errors import BadSubsystemId, InvalidConfig, InvalidParams
-from .linalg import _spin_label
+from .errors import InvalidConfig, InvalidParams
+from .linalg import _integer, _spin_label
 
 CSV_COLUMNS = ("tau_bar", "g0", "g2", "gm2", "j2", "concurrence", "discord")
 CSV_HEADER = ",".join(CSV_COLUMNS)
@@ -61,14 +60,12 @@ class SweepConfig:
     renormalize: bool = False
 
     def check(self) -> None:
-        if not _is_int(self.points) or self.points < 2:
-            raise InvalidConfig(f"points must be an integer >= 2, got {self.points!r}")
-        if self.points > MAX_POINTS:
-            raise InvalidConfig(f"points must be <= {MAX_POINTS}, got {self.points}")
-        ends = (self.tau_bar_start, self.tau_bar_end)
-        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   and abs(t) < TAU_BAR_LIMIT for t in ends):
-            raise InvalidConfig(f"tau_bar range must be two numbers of size < 2**1023, got {ends!r}")
+        _integer(self.points, range(2, MAX_POINTS + 1), "points", InvalidConfig)
+        try:
+            for end in (self.tau_bar_start, self.tau_bar_end):
+                param_tau_bar(None, None, end, "each tau_bar range end")
+        except InvalidParams as exc:
+            raise InvalidConfig(str(exc)) from exc
         if not self.tau_bar_end > self.tau_bar_start:
             raise InvalidConfig(
                 f"degenerate range: tau_bar_end {self.tau_bar_end!r} must exceed "
@@ -79,10 +76,7 @@ class SweepConfig:
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise InvalidConfig(f"unknown quantities {unknown}; choose from {QUANTITIES}")
-        try:
-            _spin_label(self.measured_subsystem)
-        except BadSubsystemId as exc:
-            raise InvalidConfig(str(exc)) from exc
+        _spin_label(self.measured_subsystem, "measured_subsystem", InvalidConfig)
         if self.format not in ("csv", "svg", "both"):
             raise InvalidConfig(f"format must be csv, svg, or both, got {self.format!r}")
         if not isinstance(self.renormalize, bool):
@@ -96,10 +90,6 @@ class SweepConfig:
             return make(self.alpha, self.beta, self.b)
         except InvalidParams as exc:
             raise InvalidConfig(str(exc)) from exc
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _names_a_file(path) -> bool:

@@ -113,9 +113,10 @@ class TestDirectionInputs:
             conditional_entropy_many(self.RHO, np.zeros((0, 3)))
 
     @pytest.mark.parametrize("n", [["1", "0", "0"], np.array([1.0 + 1j, 0.0, 0.0]), [10**400, 0, 0],
-                                   [None, 0.0, 1.0], [[1.0, 0.0, 0.0], [1.0]]], ids=repr)
+                                   [None, 0.0, 1.0], [[1.0, 0.0, 0.0], [1.0]], [True, 0, 0],
+                                   [[0, 0, np.True_]]], ids=repr)
     def test_non_real_direction(self, n):
-        # converting these would read text, drop an imaginary part or overflow
+        # converting these would read text or bools, drop an imaginary part or overflow
         with pytest.raises(NotUnitVector):
             projector_pair(n)
 

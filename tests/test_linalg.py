@@ -74,14 +74,20 @@ class TestEigHermitian:
         ("x", NotAState), (np.eye(3), NotAState), (np.ones((3, 2)), NotAState),
         ([[1.0, 0.0], [0.0]], NotAState), (np.full((2, 2), np.nan), NotHermitian),
         (np.diag([np.inf, 0.0, 0.0, 0.0]), NotHermitian), (np.full((4, 4), 1e308j), NotHermitian),
-    ], ids=["word", "3x3", "3x2", "ragged", "NaN", "inf", "overflowing defect"])
+        (np.full((4, 4), 1e308), NotHermitian), (np.array([["1", "0"], ["0", "1"]]), NotAState),
+        (np.eye(2, dtype=bool), NotAState),
+    ], ids=["word", "3x3", "3x2", "ragged", "NaN", "inf", "overflowing defect",
+            "overflowing spectrum", "numeric text", "bools"])
     def test_rejects_what_is_not_a_finite_hermitian_2x2_or_4x4(self, m, error):
         with pytest.raises(error):
             linalg.eig_hermitian(m)
 
 
 NOT_A_FINITE_4X4 = {"word": "x", "3x3": np.eye(3), "2x2": np.eye(2),
-                    "NaN": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0])}
+                    "NaN": np.full((4, 4), np.nan), "inf": np.diag([np.inf, 0.0, 0.0, 0.0]),
+                    "numeric text": np.where(np.eye(4, dtype=bool), "0.25", "0"),
+                    "bools": np.eye(4, dtype=bool),
+                    "text entry": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
 
 
 @pytest.mark.parametrize("name", sorted(NOT_A_FINITE_4X4))
@@ -90,6 +96,14 @@ NOT_A_FINITE_4X4 = {"word": "x", "3x3": np.eye(3), "2x2": np.eye(2),
 def test_matrix_argument_must_be_a_finite_4x4(call, name):
     with pytest.raises(NotAState):
         call(NOT_A_FINITE_4X4[name])
+
+
+def test_evolve_numeric_that_overflows_is_not_a_state():
+    # finite entries whose conjugation by the propagator overflows a float
+    rng = np.random.default_rng(7)
+    big = 1.7e308 * (rng.choice([-1.0, 1.0], (4, 4)) + 1j * rng.choice([-1.0, 0.0, 1.0], (4, 4)))
+    with pytest.raises(NotAState, match="finite"):
+        evolve_numeric(big, tau_bar=0.7)
 
 
 class TestEigGeneralModuli:
@@ -161,7 +175,9 @@ class TestPartialTrace:
         (np.eye(3), r"shape \(4, 4\)"), (np.eye(2), r"shape \(4, 4\)"), (np.ones(16), "shape"),
         ("x", "matrix of numbers"), ([[1.0, 0.0], [0.0]], "matrix of numbers"),
         (np.full((4, 4), np.nan), "not finite"), (np.full((4, 4), 1e308), "not finite"),
-    ], ids=["3x3", "2x2", "flat 16", "word", "ragged", "NaN", "overflow"])
+        (np.where(np.eye(4, dtype=bool), "0.25", "0"), "matrix of numbers"),
+        (np.eye(4, dtype=bool), "matrix of numbers"),
+    ], ids=["3x3", "2x2", "flat 16", "word", "ragged", "NaN", "overflow", "numeric text", "bools"])
     def test_operator_must_be_4x4_with_a_finite_trace(self, operator, message):
         for keep in (1, 2):
             with pytest.raises(NotAState, match=message):
@@ -222,8 +238,10 @@ class TestVonNeumannEntropy:
         None,
         [[1.0, 0.0], [0.0]],
         [[np.nan, 0.0], [0.0, 1.0]],
+        [["1", "0"], ["0", "0"]],
+        [[True, False], [False, False]],
     ], ids=["non-hermitian 2x2", "anti-hermitian off-diagonal", "non-hermitian 4x4", "3x3",
-            "word", "none", "ragged", "nan"])
+            "word", "none", "ragged", "nan", "numeric text", "bools"])
     def test_rejects_what_is_not_a_state(self, rho):
         with pytest.raises(NotAState):
             linalg.von_neumann_entropy(rho)

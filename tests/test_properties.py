@@ -3,7 +3,9 @@
 Every public function that takes a time, DimerParams, the functions that
 take a measurement direction and those that take a state, an operator or
 a spin label either return finite numbers or raise an MqDimerError,
-whatever they are given: a scalar, an array, a non-finite or huge number, None or a string.
+whatever they are given: a scalar, an array, a non-finite or huge number,
+None or a string. An input that is or holds a bool or text, numeric text
+too, must raise.
 Any value of a SweepConfig field in a --config file makes the CLI exit 0
 or 2. The examples are derandomized, so every run draws the same ones.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqdimer import (
@@ -77,11 +79,22 @@ TIME_CALLS = {
 }
 
 
-def finite_or_typed_error(call):
+def holds_bool_or_text(x) -> bool:
+    """Whether x is or holds a bool, str or bytes, which numpy would read as numbers."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        return True
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "bSU" or (x.dtype == object and any(map(holds_bool_or_text, x.flat)))
+    return isinstance(x, (list, tuple)) and any(map(holds_bool_or_text, x))
+
+
+def finite_or_typed_error(call, numbers=True):
+    """call() raises an MqDimerError, or returns finite numbers if its input is `numbers`."""
     try:
         result = call()
     except MqDimerError:
         return
+    assert numbers, f"read bools or text as numbers: {result!r}"
     if dataclasses.is_dataclass(result):
         result = dataclasses.astuple(result)
     parts = result if isinstance(result, tuple) else (result,)
@@ -94,7 +107,8 @@ def finite_or_typed_error(call):
 @given(time=VALUES, physical=st.booleans())
 def test_time_inputs(name, time, physical):
     call = TIME_CALLS[name]
-    finite_or_typed_error(lambda: call(time, None) if physical else call(None, time))
+    finite_or_typed_error(lambda: call(time, None) if physical else call(None, time),
+                          not holds_bool_or_text(time))
 
 
 @pytest.mark.parametrize("name", sorted(TIME_CALLS))
@@ -116,8 +130,9 @@ LARGE = st.one_of(
 @given(field=st.sampled_from(["alpha", "beta", "b", "d"]), value=st.one_of(VALUES, LARGE))
 def test_dimer_params_fields(field, value):
     fields = {"alpha": 0.6, "beta": 0.8, "b": 2.0, "d": 1.5, field: value}
-    finite_or_typed_error(lambda: DimerParams(**fields).thermal_weights)
-    finite_or_typed_error(lambda: DimerParams.normalized(**fields).thermal_weights)
+    numbers = not holds_bool_or_text(value)
+    finite_or_typed_error(lambda: DimerParams(**fields).thermal_weights, numbers)
+    finite_or_typed_error(lambda: DimerParams.normalized(**fields).thermal_weights, numbers)
 
 
 RHO_EVOLVED = evolve_analytic(P, tau_bar=0.7)
@@ -127,16 +142,20 @@ DIRECTIONS = st.one_of(
     st.lists(ANY_FLOAT, min_size=3, max_size=3),
     st.lists(st.lists(ANY_FLOAT, min_size=3, max_size=3), max_size=3).map(
         lambda rows: np.reshape(np.array(rows, dtype=float), (-1, 3))),
-    st.sampled_from([[0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x", ["x", 0, 0]]),
+    st.sampled_from([[0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "x", ["x", 0, 0],
+                     [True, 0, 0], [[0, 0, np.True_]]]),
 )
 
 
 @BOUNDARY
 @given(n=DIRECTIONS, measured=st.sampled_from([1, 2]))
+@example(n=[True, 0, 0], measured=2)
+@example(n=[[0, 0, np.True_]], measured=1)
 def test_measurement_directions(n, measured):
-    finite_or_typed_error(lambda: conditional_entropy_many(RHO_EVOLVED, n, measured))
-    finite_or_typed_error(lambda: conditional_entropy(RHO_EVOLVED, n, measured))
-    finite_or_typed_error(lambda: projector_pair(n))
+    numbers = not holds_bool_or_text(n)
+    finite_or_typed_error(lambda: conditional_entropy_many(RHO_EVOLVED, n, measured), numbers)
+    finite_or_typed_error(lambda: conditional_entropy(RHO_EVOLVED, n, measured), numbers)
+    finite_or_typed_error(lambda: projector_pair(n), numbers)
 
 
 def _psd_state(entries):
@@ -147,6 +166,17 @@ def _psd_state(entries):
         return m / np.trace(m)
 
 
+def _hermitian(entries):
+    # the strict upper triangle mirrored, plus the real part of the diagonal: no sum overflows
+    m = np.reshape(entries, (4, 4)).astype(complex)
+    upper = np.triu(m, 1)
+    return upper + upper.conj().T + np.diag(m.diagonal().real)
+
+
+#: states in all but type: numeric text, bools of trace 1, one text entry in an object array
+NOT_NUMBERS = [np.where(np.eye(4, dtype=bool), "0.25", "0"), np.diag([True, False, False, False]),
+               np.array([["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+                        dtype=object)]
 STATES = st.one_of(
     VALUES,
     st.lists(ANY_FLOAT, min_size=16, max_size=16).map(lambda v: np.reshape(v, (4, 4))),
@@ -155,6 +185,9 @@ STATES = st.one_of(
     st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=16, max_size=16).map(_psd_state),
     st.sampled_from([RHO_EVOLVED, RHO0, np.eye(4) / 4.0, np.eye(2) / 2.0, np.eye(3) / 3.0,
                      RHO_EVOLVED.T, RHO_EVOLVED + 1e-10, [[1.0, 0.0], [0.0]], "x"]),
+    st.sampled_from(NOT_NUMBERS),
+    st.lists(LARGE, min_size=16, max_size=16).map(lambda v: np.reshape(v, (4, 4))),
+    st.lists(LARGE, min_size=16, max_size=16).map(_hermitian),
 )
 MEASURED = st.one_of(
     st.sampled_from([1, 2, np.int64(1), np.int8(2), True, False, 2.0, np.array(2), np.array([1]),
@@ -184,8 +217,12 @@ STATE_CALLS = {
 @pytest.mark.parametrize("name", sorted(STATE_CALLS))
 @BOUNDARY
 @given(rho=STATES, measured=MEASURED)
+@example(rho=NOT_NUMBERS[0], measured=2)
+@example(rho=NOT_NUMBERS[1], measured=1)
+@example(rho=NOT_NUMBERS[2], measured=2)
+@example(rho=np.full((4, 4), 1e308), measured=1)
 def test_state_and_spin_inputs(name, rho, measured):
-    finite_or_typed_error(lambda: STATE_CALLS[name](rho, measured))
+    finite_or_typed_error(lambda: STATE_CALLS[name](rho, measured), not holds_bool_or_text(rho))
 
 
 #: what a config file may hold for a field: ints (some above 1e308), integral and

@@ -55,8 +55,10 @@ class TestSweepConfig:
         assert_allclose(abs(p.alpha), ISQ, atol=1e-12)
 
     @pytest.mark.parametrize("field", [{"tau_bar_start": "0"}, {"b": "x"}, {"quantities": 5},
-                                       {"tau_bar_end": 1e308}],
-                             ids=["tau_bar_start", "b", "quantities", "tau_bar_end 1e308"])
+                                       {"tau_bar_end": 1e308}, {"tau_bar_end": math.nan},
+                                       {"tau_bar_end": 2**1023}],
+                             ids=["tau_bar_start", "b", "quantities", "tau_bar_end 1e308",
+                                  "tau_bar_end nan", "tau_bar_end 2**1023"])
     def test_ill_typed_field_raises_invalid_config(self, tmp_path, field):
         with pytest.raises(InvalidConfig):
             run_sweep(SweepConfig(output_path=str(tmp_path / "out.csv"), **field))
@@ -67,7 +69,8 @@ class TestSweepConfig:
         {"measured_subsystem": 1.5}, {"measured_subsystem": 2.0}, {"output_path": None},
         {"output_path": 5}, {"output_path": ""}, {"output_path": "."}, {"output_path": "a\0b"},
         {"output_path": "\ud800"}, {"tau_bar_start": True}, {"tau_bar_end": np.True_},
-        {"measured_subsystem": np.array(2)},
+        {"measured_subsystem": np.array(2)}, {"points": 1.5}, {"points": 1},
+        {"points": 10**6 + 1}, {"tau_bar_end": [3.0]},
     ], ids=ascii)
     def test_integer_and_path_fields_are_typed(self, field):
         with pytest.raises(InvalidConfig):
@@ -75,6 +78,10 @@ class TestSweepConfig:
 
     def test_numpy_integer_measured_subsystem(self):
         SweepConfig(measured_subsystem=np.int64(1)).check()
+
+    def test_float32_range_end(self):
+        # no overflow warning (an error in this suite) from comparing it with 2**1023
+        SweepConfig(tau_bar_end=np.float32(2.0)).check()
 
     def test_rejects_non_bool_renormalize(self):
         for value in ("false", "true", 1, 0, None):
@@ -146,6 +153,12 @@ class TestRunSweep:
                 )
             )
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_points_write_the_same_bytes(self, tmp_path, integer):
+        paths = [run_sweep(SweepConfig(points=points, output_path=str(tmp_path / name)))[0]
+                 for points, name in ((201, "int.csv"), (integer(201), "numpy.csv"))]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_svg_output(self, tmp_path):
         cfg = SweepConfig(
