@@ -21,8 +21,8 @@ import numpy as np
 
 from .dimer import _number, finite_array
 from .errors import NotUnitVector
-from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _bool_or_text, _checked_state,
-                     _entropy_bits, _spin_label)
+from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _numbers,
+                     _spin_label)
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
@@ -78,17 +78,9 @@ _GRID_DIRS = _directions(_GRID_ANGLES)
 
 
 def _check_directions(dirs) -> np.ndarray:
-    # real numbers only: bools, text, complex, None or ints beyond float range are not converted
-    try:
-        if _bool_or_text(dirs):
-            raise TypeError
-        dirs = np.atleast_2d(np.asarray(dirs))
-    except (TypeError, ValueError):  # ragged nesting
-        raise NotUnitVector(f"expected direction(s) of numbers, got {dirs!r}") from None
-    if dirs.dtype.kind not in "iuf" or dirs.ndim != 2 or dirs.shape[1] != 3 or not len(dirs):
-        raise NotUnitVector(f"expected real direction(s) of shape (3,) or (N, 3), got "
-                            f"shape {dirs.shape} of {dirs.dtype}")
-    dirs = dirs.astype(float, copy=False)
+    dirs = np.atleast_2d(_numbers(dirs, float, NotUnitVector, "expected real direction(s)"))
+    if dirs.ndim != 2 or dirs.shape[1] != 3 or not len(dirs):
+        raise NotUnitVector(f"expected direction(s) of shape (3,) or (N, 3), got shape {dirs.shape}")
     defect = np.abs(np.einsum("ni,ni->n", dirs, dirs) - 1.0)
     if not defect.max() <= UNIT_TOL:  # a NaN fails here too
         raise NotUnitVector(f"squared norm deviates from 1 by {defect.max():.3e}")

@@ -7,9 +7,10 @@ exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
 
 Each input rule has one owner: param_tau_bar for times; in linalg, _checked_state for
-states, _bool_or_text for numbers (a bool or text is not one) and _integer for integers. A bad
-time or parameter raises InvalidParams. The closed forms take one time or an array of times;
-evolve_analytic, propagator, evolve_numeric and ht_reference take one.
+states, _numbers for numbers (a bool, text or None is not one, nor a complex a real) and
+_integer for integers. A bad time or parameter raises InvalidParams. The closed forms take
+one time or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference
+take one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import _bool_or_text, _checked_state, _finite_matrix, eig_hermitian, kron
+from .linalg import _checked_state, _finite_matrix, _numbers, eig_hermitian, kron
 
 NORMALIZATION_TOL = 1e-9
 
@@ -69,13 +70,11 @@ class DimerParams:
 
 
 def _number(x, name: str, kind=float):
-    """x as one Python float (or complex); anything else, a bool or text too: InvalidParams."""
-    try:
-        if np.ndim(x) == 0 and not _bool_or_text(x):
-            return kind(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParams(f"{name} must be a number, got {x!r}")
+    """x as one Python float (or complex); anything else, a bool, text or None too: InvalidParams."""
+    number = _numbers(x, kind, InvalidParams, f"{name} must be a number")
+    if number.ndim:
+        raise InvalidParams(f"{name} must be a number, got {x!r}")
+    return kind(number)
 
 
 def _squared_norm(alpha: complex, beta: complex) -> float:
@@ -95,13 +94,9 @@ def _coupling(d) -> float:
 
 
 def finite_array(x, name: str) -> np.ndarray:
-    """x as a float ndarray; a bool, text, or a NaN or +-inf anywhere, raises InvalidParams."""
-    try:
-        if _bool_or_text(x):
-            raise TypeError
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParams(f"{name} must be a number or an array of numbers, got {x!r}") from None
+    """x as a float ndarray; a bool, text, None, a complex, or a NaN or +-inf anywhere, raises
+    InvalidParams."""
+    x = _numbers(x, float, InvalidParams, f"{name} must be a number or an array of numbers")
     if not np.isfinite(x).all():
         raise InvalidParams(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
     return x

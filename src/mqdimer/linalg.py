@@ -68,21 +68,31 @@ def _integer(x, allowed, name: str, error) -> int:
     raise error(f"{name} must be an integer in {allowed[0]}..{allowed[-1]}, got {x!r}")
 
 
-def _bool_or_text(x) -> bool:
-    """Whether x is or holds a bool, str or bytes, each of which numpy would read as a number."""
-    if isinstance(x, np.ndarray) and x.dtype != object:
-        return x.dtype.kind in "bSU"
-    return any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(x, object).flat)
+#: what numpy would read as a number but is not one: a bool, text or None; for a real, a complex
+_NOT_NUMBERS = {complex: (bool, np.bool_, str, bytes, type(None)),
+                float: (bool, np.bool_, str, bytes, type(None), complex, np.complexfloating)}
+_NOT_KINDS = {complex: "bSU", float: "bSUc"}
+
+
+def _numbers(x, dtype, error, what: str) -> np.ndarray:
+    """x as an ndarray of dtype float or complex, the one conversion of outside numbers;
+    error(f"{what}, got {x!r}") if x is or holds one of _NOT_NUMBERS, or numpy cannot convert
+    it (ragged nesting, an int beyond float range)."""
+    try:
+        if isinstance(x, np.ndarray) and x.dtype != object:
+            numbers = x.dtype.kind not in _NOT_KINDS[dtype]
+        else:
+            numbers = not any(isinstance(v, _NOT_NUMBERS[dtype]) for v in np.asarray(x, object).flat)
+        if numbers:
+            return np.asarray(x, dtype)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what}, got {x!r}")
 
 
 def _matrix(m, shapes=((4, 4),)) -> np.ndarray:
     """m as a complex ndarray of one of `shapes`; NotAState for anything else, bools and text too."""
-    try:
-        if _bool_or_text(m):
-            raise TypeError
-        m = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise NotAState(f"expected a matrix of numbers, got {m!r}") from None
+    m = _numbers(m, complex, NotAState, "expected a matrix of numbers")
     if m.shape not in shapes:
         raise NotAState(f"expected shape {' or '.join(map(str, shapes))}, got {m.shape}")
     return m

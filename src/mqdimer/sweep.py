@@ -59,14 +59,15 @@ class SweepConfig:
     format: str = "csv"
     renormalize: bool = False
 
-    def check(self) -> None:
+    def check(self) -> tuple[float, float]:
+        """InvalidConfig for a bad field; else the tau_bar range ends as Python floats."""
         _integer(self.points, range(2, MAX_POINTS + 1), "points", InvalidConfig)
         try:
-            for end in (self.tau_bar_start, self.tau_bar_end):
-                param_tau_bar(None, None, end, "each tau_bar range end")
+            start, end = (param_tau_bar(None, None, x, "each tau_bar range end")
+                          for x in (self.tau_bar_start, self.tau_bar_end))
         except InvalidParams as exc:
             raise InvalidConfig(str(exc)) from exc
-        if not self.tau_bar_end > self.tau_bar_start:
+        if not end > start:
             raise InvalidConfig(
                 f"degenerate range: tau_bar_end {self.tau_bar_end!r} must exceed "
                 f"tau_bar_start {self.tau_bar_start!r}"
@@ -83,6 +84,7 @@ class SweepConfig:
             raise InvalidConfig(f"renormalize must be true or false, got {self.renormalize!r}")
         if not _names_a_file(self.output_path):
             raise InvalidConfig(f"output_path must be a string naming a file, got {self.output_path!r}")
+        return start, end
 
     def params(self) -> DimerParams:
         make = DimerParams.normalized if self.renormalize else DimerParams
@@ -103,9 +105,9 @@ def _names_a_file(path) -> bool:
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
     """Compute the requested columns and write CSV and/or SVG; returns paths."""
-    cfg.check()
+    start, end = cfg.check()
     p = cfg.params()
-    taus = np.linspace(cfg.tau_bar_start, cfg.tau_bar_end, cfg.points)
+    taus = np.linspace(start, end, cfg.points)
     want = set(cfg.quantities)
 
     columns: dict[str, np.ndarray] = {}

@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 
 from mqdimer import (
     DimerParams,
+    SweepConfig,
     analytic_intensities,
     concurrence_analytic,
+    concurrence_from_intensities,
     direction,
     evolve_analytic,
     evolve_numeric,
@@ -19,7 +21,7 @@ from mqdimer import (
     require_state,
 )
 from mqdimer.dimer import param_tau_bar
-from mqdimer.errors import InvalidParams, NotAState
+from mqdimer.errors import InvalidConfig, InvalidParams, NotAState
 
 from oracles import random_amplitudes
 
@@ -33,6 +35,11 @@ class TestDimerParams:
 
     def test_accepts_complex_amplitudes(self):
         DimerParams(complex(0.6, 0.0), complex(0.0, 0.8), 1.0)
+        # amplitudes and states stay complex where times, b and d must be real
+        p = DimerParams(np.complex128(0.6), 0.8j, 1.0)
+        assert (p.alpha, p.beta) == (0.6, 0.8j)
+        rho = evolve_analytic(p, tau_bar=0.4)
+        assert rho.imag.any() and np.array_equal(require_state(rho), rho)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidParams):
@@ -309,6 +316,27 @@ class TestEvolution:
     def test_text_is_not_a_number(self, call):
         # text is parsed by the CLI; numpy would read "0.5" as 0.5 inside the library
         with pytest.raises(InvalidParams, match="must be a number"):
+            call(DimerParams(0.6, 0.8, 2.0))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda p: analytic_intensities(p, tau_bar=np.complex128(1 + 1j)), InvalidParams),
+        (lambda p: evolve_analytic(p, tau_bar=np.complex128(0.3 + 1j)), InvalidParams),
+        (lambda p: propagator(tau_bar=np.array(0.3 + 1j)), InvalidParams),
+        (lambda p: concurrence_analytic(p, tau=np.array([0.3 + 1j])), InvalidParams),
+        (lambda p: DimerParams(1, 0, np.complex128(1 + 1j)), InvalidParams),
+        (lambda p: DimerParams(1, 0, np.complex128(1 + 0j)), InvalidParams),
+        (lambda p: DimerParams(1, 0, 1.0, np.complex64(2 + 1j)), InvalidParams),
+        (lambda p: mq_hamiltonian(np.complex128(2 + 1j)), InvalidParams),
+        (lambda p: direction(np.complex128(0.3 + 1j), 0), InvalidParams),
+        (lambda p: concurrence_from_intensities(p, np.array([0.1 + 2j])), InvalidParams),
+        (lambda p: SweepConfig(tau_bar_end=np.complex128(2 + 1j)).check(), InvalidConfig),
+        (lambda p: SweepConfig(b=np.complex128(2 + 1j)).params(), InvalidConfig),
+    ], ids=["analytic_intensities", "evolve_analytic", "propagator", "concurrence_analytic",
+            "DimerParams b", "DimerParams b 1+0j", "DimerParams d complex64", "mq_hamiltonian",
+            "direction", "concurrence_from_intensities", "SweepConfig range end", "SweepConfig b"])
+    def test_a_complex_is_not_a_real(self, call, error):
+        # numpy would drop the imaginary part (a ComplexWarning) and return numbers
+        with pytest.raises(error, match="must be a number"):
             call(DimerParams(0.6, 0.8, 2.0))
 
     @pytest.mark.parametrize("big", [1e308, -2.0**1023])

@@ -4,8 +4,9 @@ Every public function that takes a time, DimerParams, the functions that
 take a measurement direction and those that take a state, an operator or
 a spin label either return finite numbers or raise an MqDimerError,
 whatever they are given: a scalar, an array, a non-finite or huge number,
-None or a string. An input that is or holds a bool or text, numeric text
-too, must raise.
+a numpy complex, None or a string. An input that is or holds a bool or text,
+numeric text too, must raise, and so must a complex value given where a real
+one is due (a time, b, d, an angle, a direction, a sweep range end).
 Any value of a SweepConfig field in a --config file makes the CLI exit 0
 or 2. The examples are derandomized, so every run draws the same ones.
 """
@@ -33,6 +34,7 @@ from mqdimer import (
     conditional_entropy,
     conditional_entropy_many,
     decompose,
+    direction,
     discord,
     evolve_analytic,
     evolve_numeric,
@@ -52,7 +54,15 @@ from mqdimer.sweep import CSV_COLUMNS, SweepConfig, read_csv
 BOUNDARY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+#: numpy complex scalars with a zero and a non-zero imaginary part, 0-d and 1-d complex arrays
+COMPLEX = st.one_of(
+    st.builds(lambda kind, re, im: kind(complex(re, im)), st.sampled_from([np.complex128, np.complex64]),
+              st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, -2.5])),
+    st.complex_numbers(max_magnitude=1e3).map(np.array),
+    st.lists(st.complex_numbers(max_magnitude=1e3), min_size=1, max_size=3).map(np.array),
+)
 VALUES = st.one_of(
+    COMPLEX,
     ANY_FLOAT,
     st.integers(min_value=-(10**400), max_value=10**400),
     st.lists(ANY_FLOAT, max_size=3).map(np.array),
@@ -79,13 +89,23 @@ TIME_CALLS = {
 }
 
 
-def holds_bool_or_text(x) -> bool:
-    """Whether x is or holds a bool, str or bytes, which numpy would read as numbers."""
-    if isinstance(x, (bool, np.bool_, str, bytes)):
+def holds(x, types, kinds) -> bool:
+    """Whether x is or holds an instance of `types`, or is an array of a dtype kind in `kinds`."""
+    if isinstance(x, types):
         return True
     if isinstance(x, np.ndarray):
-        return x.dtype.kind in "bSU" or (x.dtype == object and any(map(holds_bool_or_text, x.flat)))
-    return isinstance(x, (list, tuple)) and any(map(holds_bool_or_text, x))
+        return x.dtype.kind in kinds or (x.dtype == object and any(holds(v, types, kinds) for v in x.flat))
+    return isinstance(x, (list, tuple)) and any(holds(v, types, kinds) for v in x)
+
+
+def holds_bool_or_text(x) -> bool:
+    """Whether x is or holds a bool, str or bytes, which numpy would read as numbers."""
+    return holds(x, (bool, np.bool_, str, bytes), "bSU")
+
+
+def is_real_number(x) -> bool:
+    """Whether x may pass as real numbers: it holds no bool, text or complex value."""
+    return not holds_bool_or_text(x) and not holds(x, (complex, np.complexfloating), "c")
 
 
 def finite_or_typed_error(call, numbers=True):
@@ -105,10 +125,13 @@ def finite_or_typed_error(call, numbers=True):
 @pytest.mark.parametrize("name", sorted(TIME_CALLS))
 @BOUNDARY
 @given(time=VALUES, physical=st.booleans())
+@example(time=np.complex128(0.3 + 1j), physical=False)
+@example(time=np.complex64(0.3), physical=True)
+@example(time=np.array([0.3 + 1j]), physical=False)
 def test_time_inputs(name, time, physical):
     call = TIME_CALLS[name]
     finite_or_typed_error(lambda: call(time, None) if physical else call(None, time),
-                          not holds_bool_or_text(time))
+                          is_real_number(time))
 
 
 @pytest.mark.parametrize("name", sorted(TIME_CALLS))
@@ -128,9 +151,13 @@ LARGE = st.one_of(
 
 @BOUNDARY
 @given(field=st.sampled_from(["alpha", "beta", "b", "d"]), value=st.one_of(VALUES, LARGE))
+@example(field="b", value=np.complex128(2.0))
+@example(field="d", value=np.complex64(1.5 + 1j))
+@example(field="alpha", value=np.complex128(0.6))
 def test_dimer_params_fields(field, value):
+    """A complex amplitude is valid; a complex b or d is not."""
     fields = {"alpha": 0.6, "beta": 0.8, "b": 2.0, "d": 1.5, field: value}
-    numbers = not holds_bool_or_text(value)
+    numbers = is_real_number(value) if field in ("b", "d") else not holds_bool_or_text(value)
     finite_or_typed_error(lambda: DimerParams(**fields).thermal_weights, numbers)
     finite_or_typed_error(lambda: DimerParams.normalized(**fields).thermal_weights, numbers)
 
@@ -151,11 +178,20 @@ DIRECTIONS = st.one_of(
 @given(n=DIRECTIONS, measured=st.sampled_from([1, 2]))
 @example(n=[True, 0, 0], measured=2)
 @example(n=[[0, 0, np.True_]], measured=1)
+@example(n=np.array([0.0, 0.0, 1.0 + 0j]), measured=2)
 def test_measurement_directions(n, measured):
-    numbers = not holds_bool_or_text(n)
+    numbers = is_real_number(n)
     finite_or_typed_error(lambda: conditional_entropy_many(RHO_EVOLVED, n, measured), numbers)
     finite_or_typed_error(lambda: conditional_entropy(RHO_EVOLVED, n, measured), numbers)
     finite_or_typed_error(lambda: projector_pair(n), numbers)
+
+
+@BOUNDARY
+@given(theta=VALUES, phi=st.one_of(ANY_FLOAT, COMPLEX))
+@example(theta=np.complex128(0.3 + 1j), phi=0.0)
+@example(theta=0.5, phi=np.complex64(1.0))
+def test_direction_angles(theta, phi):
+    finite_or_typed_error(lambda: direction(theta, phi), is_real_number(theta) and is_real_number(phi))
 
 
 def _psd_state(entries):
@@ -223,6 +259,18 @@ STATE_CALLS = {
 @example(rho=np.full((4, 4), 1e308), measured=1)
 def test_state_and_spin_inputs(name, rho, measured):
     finite_or_typed_error(lambda: STATE_CALLS[name](rho, measured), not holds_bool_or_text(rho))
+
+
+@BOUNDARY
+@given(field=st.sampled_from(["alpha", "beta", "b", "tau_bar_start", "tau_bar_end"]), value=VALUES)
+@example(field="tau_bar_end", value=np.complex128(2.0))
+@example(field="b", value=np.complex64(2.0 + 1j))
+def test_sweep_config_numbers(field, value):
+    """Numeric fields as the library takes them, numpy values that no config file holds too:
+    check() and params() give finite numbers or InvalidConfig; only alpha and beta are complex."""
+    cfg = SweepConfig(**{field: value})
+    numbers = not holds_bool_or_text(value) if field in ("alpha", "beta") else is_real_number(value)
+    finite_or_typed_error(lambda: (cfg.check(), cfg.params().thermal_weights), numbers)
 
 
 #: what a config file may hold for a field: ints (some above 1e308), integral and

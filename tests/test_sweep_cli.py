@@ -160,6 +160,15 @@ class TestRunSweep:
                  for points, name in ((201, "int.csv"), (integer(201), "numpy.csv"))]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("ends", [(np.float32(0.1), 2.0), (0.0, np.float32(np.pi))], ids=repr)
+    def test_float32_range_ends_write_the_bytes_of_their_floats(self, tmp_path, ends):
+        # the grid is built from the range ends as floats, never at float32 precision
+        paths = [run_sweep(SweepConfig(tau_bar_start=start, tau_bar_end=end, points=5,
+                                       quantities=("g0", "j2", "concurrence"),
+                                       output_path=str(tmp_path / name)))[0]
+                 for (start, end), name in ((ends, "f32.csv"), (map(float, ends), "f64.csv"))]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_svg_output(self, tmp_path):
         cfg = SweepConfig(
             points=20,
