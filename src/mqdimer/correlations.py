@@ -1,15 +1,16 @@
 """Projective measurements on one spin, conditional entropy, quantum discord.
 
 The measured spin is selectable (default: spin 2, the thermal one). All
-entropies are in bits. Measuring the projector Pi_n = (I + n.sigma)/2
-leaves the unmeasured spin in the partial trace over the measured spin of
-rho Pi_n, which is affine in n, so one kernel call evaluates the
-conditional entropy for a whole batch of directions. Each spin's reduced
-state is the first row of the other spin's basis, so the one-spin
-entropies need no partial trace and no 2x2 eigensolve. The minimizer is
-deterministic: a fixed spherical grid, then one compass search that
-refines the best five grid points together, with stable tie-breaking, so
-repeated runs are bit-identical.
+entropies are in bits. Everything is read from one real 4x4 table per
+state, T_ab = Tr rho (sigma_a x sigma_b) with sigma_0 = I: column 0 and
+row 0 hold the Bloch vectors of spins 1 and 2, so the one-spin entropies
+need no partial trace and no 2x2 eigensolve. Measuring the projector
+Pi_n = (I + n.sigma)/2 on spin 1 (rows of T) or spin 2 (rows of T^T)
+leaves the other spin in a state affine in n, so one kernel call
+evaluates the conditional entropy for a whole batch of directions. The
+minimizer is deterministic: a fixed spherical grid, then one compass
+search that refines the best five grid points together, with stable
+tie-breaking, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ REFINE_MAX_ROUNDS = 400
 Q_CLAMP = 1e-9
 
 _PAULI_BASIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+#: row 4a + b of the (16, 16) map from rho.reshape(16) to Tr rho (sigma_a x sigma_b)
+_PAULI_PAIRS = np.einsum("aji,blk->abikjl", _PAULI_BASIS, _PAULI_BASIS).reshape(16, 16)
 #: compass stencil in (theta, phi): axis steps first, then diagonals
 _STENCIL = np.array(
     [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
@@ -104,32 +107,29 @@ def conditional_entropy(rho, n, measured: int = 2) -> float:
     return float(conditional_entropy_many(rho, n, measured)[0])
 
 
-def _measurement_basis(rho: np.ndarray, measured: int) -> np.ndarray:
-    # Rows s = 0..3 describe R_s, the partial trace over the measured spin
-    # of rho sigma_s (sigma_s acting on the measured spin, sigma_0 = I), so
-    # R_0 is the reduced state of the unmeasured spin. Each
-    # row holds (trace, half diagonal gap, Re, Im of the off-diagonal entry),
-    # the affine coordinates of a Hermitian 2x2 block.
-    rho4 = rho.reshape(2, 2, 2, 2)
-    if measured == 2:
-        blocks = np.einsum("ikjl,slk->sij", rho4, _PAULI_BASIS)
-    else:
-        blocks = np.einsum("ikjl,sji->skl", rho4, _PAULI_BASIS)
-    top, bottom, off = blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 0, 1]
-    return np.stack([top + bottom, 0.5 * (top - bottom), off.real, off.imag], axis=1)
+def _pauli_table(rho: np.ndarray) -> np.ndarray:
+    # T_ab = Tr rho (sigma_a x sigma_b), a real 4x4 table
+    return (_PAULI_PAIRS @ rho.reshape(16)).real.reshape(4, 4)
+
+
+def _measurement_basis(table: np.ndarray, measured: int) -> np.ndarray:
+    # Row s holds the Pauli coordinates (trace, then Tr R_s sigma_k) of R_s,
+    # the partial trace over the measured spin of rho sigma_s (sigma_s on the
+    # measured spin), so row 0 is the unmeasured spin's reduced state.
+    return table if measured == 1 else table.T
 
 
 def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     # The outcome blocks along n are (R_0 +/- sum_k n_k R_k) / 2, so all N
-    # directions need one (N, 3) @ (3, 4) product. `twice` holds the rows of
-    # twice each block, '+' outcomes first: (2 p, g) for an outcome of
-    # probability p, whose block then has eigenvalues p (1/2 +/- |g| / 2p).
+    # directions need one (N, 3) @ (3, 4) product. `twice` holds the Pauli
+    # coordinates of twice each block, '+' outcomes first: (2 p, g) for an
+    # outcome of probability p, whose block then has eigenvalues p (1 +/- |g| / 2p) / 2.
     shift = dirs @ basis[1:]
     twice = np.concatenate([basis[0] + shift, basis[0] - shift])
     pk = 0.5 * twice[:, 0]
     ok = pk > OUTCOME_FLOOR
     g = twice[:, 1:]
-    ratio = np.sqrt(np.einsum("ni,ni->n", g, g)) / np.where(ok, twice[:, 0], 1.0)
+    ratio = 0.5 * np.sqrt(np.einsum("ni,ni->n", g, g)) / np.where(ok, twice[:, 0], 1.0)
     hi = 0.5 + np.minimum(ratio, 0.5)
     lo = 1.0 - hi
     bits = -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
@@ -139,7 +139,7 @@ def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def conditional_entropy_many(rho, dirs, measured: int = 2) -> np.ndarray:
     """Vectorized conditional_entropy over an (N, 3) array of directions."""
-    basis = _measurement_basis(_checked_state(rho)[0], _spin_label(measured))
+    basis = _measurement_basis(_pauli_table(_checked_state(rho)[0]), _spin_label(measured))
     return _cond_entropy_core(basis, _check_directions(dirs))
 
 
@@ -196,7 +196,7 @@ def minimize_conditional_entropy(rho, measured: int = 2):
     REFINE_STEP_MIN); a flat objective returns the first grid point, the
     north pole.
     """
-    return _minimize(_measurement_basis(_checked_state(rho)[0], _spin_label(measured)))
+    return _minimize(_measurement_basis(_pauli_table(_checked_state(rho)[0]), _spin_label(measured)))
 
 
 def _minimize(basis: np.ndarray):
@@ -208,17 +208,17 @@ def _minimize(basis: np.ndarray):
     return _canonical_direction(dirs[best]), float(values[best])
 
 
-def _entropies(bases: dict, spectrum: np.ndarray) -> tuple[float, ...]:
-    # (S(rho_1), S(rho_2), S(rho)); a reduced state of trace t has eigenvalues t/2 -/+ |row[1:]|
-    s1, s2 = (_entropy_bits(0.5 * row[0] + np.linalg.norm(row[1:]) * np.array([-1.0, 1.0]))
-              for row in (bases[2][0], bases[1][0]))
+def _entropies(table: np.ndarray, spectrum: np.ndarray) -> tuple[float, ...]:
+    # (S(rho_1), S(rho_2), S(rho)); a spin of Bloch vector v has eigenvalues (1 -/+ |v|) / 2
+    s1, s2 = (_entropy_bits(0.5 * (bloch[0] + np.linalg.norm(bloch[1:]) * np.array([-1.0, 1.0])))
+              for bloch in (table[:, 0], table[0]))
     return s1, s2, _entropy_bits(spectrum)
 
 
 def mutual_information(rho) -> float:
     """Total correlations S(rho_1) + S(rho_2) - S(rho), in bits."""
     rho, spectrum, _ = _checked_state(rho)
-    s1, s2, s12 = _entropies({k: _measurement_basis(rho, k) for k in (1, 2)}, spectrum)
+    s1, s2, s12 = _entropies(_pauli_table(rho), spectrum)
     return s1 + s2 - s12
 
 
@@ -231,9 +231,9 @@ def discord(rho, measured: int = 2) -> DiscordResult:
     """Quantum discord: mutual information minus classical correlations."""
     rho, spectrum, _ = _checked_state(rho)
     measured = _spin_label(measured)
-    bases = {k: _measurement_basis(rho, k) for k in (1, 2)}
-    best_dir, min_ce = _minimize(bases[measured])
-    s1, s2, s12 = _entropies(bases, spectrum)
+    table = _pauli_table(rho)
+    best_dir, min_ce = _minimize(_measurement_basis(table, measured))
+    s1, s2, s12 = _entropies(table, spectrum)
     classical = (s2 if measured == 1 else s1) - min_ce
     mutual = s1 + s2 - s12
     q = mutual - classical

@@ -18,12 +18,21 @@ EIGVAL_FLOOR = -1e-10
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product, row-major blocks: kron(a, b)[2i+k, 2j+l] = a[i,j] b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product, row-major blocks: kron(a, b)[2i+k, 2j+l] = a[i,j] b[k,l]; NotAState
+    for an argument that is not numbers, bools and text too."""
+    return np.kron(*(_numbers(m, complex, NotAState, "expected numbers") for m in (a, b)))
 
 
 def hermiticity_defect(m) -> float:
-    m = np.asarray(m, dtype=complex)
+    """max |m - m^H| of a square matrix; NotAState for anything else, bools and text too."""
+    m = _numbers(m, complex, NotAState, "expected a matrix of numbers")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise NotAState(f"expected a non-empty square matrix, got shape {m.shape}")
+    return _defect(m)
+
+
+def _defect(m: np.ndarray) -> float:
+    # hermiticity_defect of an already converted square matrix
     return float(np.max(np.abs(m - m.conj().T)))
 
 
@@ -37,7 +46,7 @@ def eig_hermitian(m):
     """
     m = _matrix(m, ((2, 2), (4, 4)))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
-        defect = hermiticity_defect(m)
+        defect = _defect(m)
         if not defect <= HERMITICITY_TOL:
             raise NotHermitian(f"max |m - m^H| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
         vals, vecs = np.linalg.eigh(m)
@@ -111,7 +120,7 @@ def _checked_state(rho, shapes=((4, 4),)) -> tuple[np.ndarray, np.ndarray, np.nd
     their vectors; NotAState unless Hermitian, of trace 1 and no value below EIGVAL_FLOOR."""
     rho = _matrix(rho, shapes)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf and overflow fail below
-        defect, tr = hermiticity_defect(rho), complex(np.trace(rho))
+        defect, tr = _defect(rho), complex(np.trace(rho))
     if not defect <= HERMITICITY_TOL:
         raise NotAState(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     if not abs(tr - 1.0) <= STATE_TRACE_TOL:

@@ -62,11 +62,13 @@ class SweepConfig:
     def check(self) -> tuple[float, float]:
         """InvalidConfig for a bad field; else the tau_bar range ends as Python floats."""
         _integer(self.points, range(2, MAX_POINTS + 1), "points", InvalidConfig)
-        try:
-            start, end = (param_tau_bar(None, None, x, "each tau_bar range end")
-                          for x in (self.tau_bar_start, self.tau_bar_end))
-        except InvalidParams as exc:
-            raise InvalidConfig(str(exc)) from exc
+        ends = []
+        for field in ("tau_bar_start", "tau_bar_end"):
+            try:
+                ends.append(param_tau_bar(None, None, getattr(self, field), "each tau_bar range end"))
+            except InvalidParams as exc:
+                raise InvalidConfig(f"{field}: {exc}") from exc
+        start, end = ends
         if not end > start:
             raise InvalidConfig(
                 f"degenerate range: tau_bar_end {self.tau_bar_end!r} must exceed "

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written with different algebra than the
-library: the conditional entropy uses the Pauli correlation-matrix closed
-form instead of lifted projectors, and entropies/partial traces are local
-re-implementations. The sweep writers' references format one row or one
-point at a time. eig_general_moduli gives the concurrence spectrum through
-a general (non-Hermitian) eigensolver. The one name taken from mqdimer is
-the error type it raises.
+Everything here is deliberately computed another way than the library:
+the Pauli correlations take one kron and trace per entry (the library maps
+rho through one precomputed 16 x 16 matrix), lifted_conditional_entropy
+lifts the projectors onto both spins and needs no Pauli algebra at all,
+and entropies/partial traces are local re-implementations. The sweep
+writers' references format one row or one point at a time.
+eig_general_moduli gives the concurrence spectrum through a general
+(non-Hermitian) eigensolver. The one name taken from mqdimer is the error
+type it raises.
 """
 
 from __future__ import annotations
@@ -80,6 +82,16 @@ def lifted_conditional_entropy(rho, n, measured=2):
     return total
 
 
+def ref_pauli_correlations(rho):
+    """(r, s, t): the Bloch vectors r_i = Tr rho (sigma_i x I), s_j = Tr rho (I x sigma_j)
+    and the correlations t_ij = Tr rho (sigma_i x sigma_j), one kron and trace each."""
+    rho = np.asarray(rho, dtype=complex)
+    r = np.array([np.trace(rho @ np.kron(s, I2)).real for s in PAULIS])
+    s = np.array([np.trace(rho @ np.kron(I2, p)).real for p in PAULIS])
+    t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULIS] for a in PAULIS])
+    return r, s, t
+
+
 def bloch_conditional_entropy(rho, dirs, measured=2):
     """Conditional entropy from the Pauli expansion of rho.
 
@@ -89,11 +101,8 @@ def bloch_conditional_entropy(rho, dirs, measured=2):
     is the binary entropy of (1 + |bloch|)/2. Measuring spin 1 swaps the
     roles and transposes T.
     """
-    rho = np.asarray(rho, dtype=complex)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    r = np.array([np.trace(rho @ np.kron(s, I2)).real for s in PAULIS])
-    s = np.array([np.trace(rho @ np.kron(I2, p)).real for p in PAULIS])
-    t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULIS] for a in PAULIS])
+    r, s, t = ref_pauli_correlations(rho)
     if measured == 1:
         local, remote, tmat = r, s, t.T
     else:

@@ -35,6 +35,7 @@ from oracles import (
     random_rank_state,
     ref_entropy_bits,
     ref_partial_trace,
+    ref_pauli_correlations,
     zoomed_grid_min,
 )
 
@@ -479,6 +480,24 @@ class TestDiscordPipeline:
         assert not hasattr(corr, "partial_trace")
 
     @pytest.mark.parametrize("call", [
+        lambda rho: discord(rho, 1), lambda rho: discord(rho, 2), mutual_information,
+        lambda rho: conditional_entropy_many(rho, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], 1),
+        lambda rho: minimize_conditional_entropy(rho, 2),
+    ], ids=["discord spin 1", "discord spin 2", "mutual_information",
+            "conditional_entropy_many", "minimize_conditional_entropy"])
+    def test_one_pauli_table_per_call(self, states, monkeypatch, call):
+        """Both spins are read from one Pauli table per call, built from the checked state
+        whose eigh is the call's only solve."""
+        import mqdimer.correlations as corr
+
+        tables, inner = [], corr._pauli_table
+        monkeypatch.setattr(corr, "_pauli_table", lambda rho: tables.append(rho.shape) or inner(rho))
+        solves = recorded_eigensolves(monkeypatch)
+        call(states[0])
+        assert tables == [(4, 4)]
+        assert solves == [("eigh", (4, 4))]
+
+    @pytest.mark.parametrize("call", [
         mutual_information, concurrence_numeric, von_neumann_entropy, require_state,
     ], ids=lambda call: call.__name__)
     def test_one_4x4_eigensolve_per_state_quantity(self, states, monkeypatch, call):
@@ -510,7 +529,7 @@ SPOT_STATES = spot_states()
 
 
 class TestOneSpinEntropies:
-    """The one-spin entropies that discord reads from its measurement bases, against the
+    """The one-spin entropies that discord reads from its Pauli table, against the
     oracle's partial traces and their eigenvalues."""
 
     @pytest.mark.parametrize("name", SPOT_STATES)
@@ -524,3 +543,18 @@ class TestOneSpinEntropies:
             assert abs(result.mutual - mutual) <= 1e-13
             assert abs(result.classical + result.min_cond_entropy - unmeasured) <= 1e-13
 
+
+class TestPauliTable:
+    """The one table the correlation layer reads, T_ab = Tr rho (sigma_a x sigma_b), against
+    the oracle's one kron and trace per entry."""
+
+    def test_matches_the_kron_trace_oracle(self):
+        from mqdimer.correlations import _pauli_table
+
+        rng = np.random.default_rng(2008)
+        states = [random_density_matrix(rng) for _ in range(20)]
+        states += [random_rank_state(rng, rank, 1e-3) for rank in (2, 3, 4) for _ in range(5)]
+        for rho in states + list(SPOT_STATES.values()):
+            r, s, t = ref_pauli_correlations(rho)
+            expected = np.block([[np.ones((1, 1)), s[None, :]], [r[:, None], t]])
+            assert np.abs(_pauli_table(np.asarray(rho, dtype=complex)) - expected).max() <= 1e-14

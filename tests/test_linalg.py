@@ -98,6 +98,20 @@ def test_matrix_argument_must_be_a_finite_4x4(call, name):
         call(NOT_A_FINITE_4X4[name])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: linalg.hermiticity_defect("x"), lambda: linalg.hermiticity_defect(np.ones((2, 3))),
+    lambda: linalg.hermiticity_defect([[True]]), lambda: linalg.kron([True], [1]),
+], ids=["defect of a word", "defect of a 2x3", "defect of a bool", "kron of a bool"])
+def test_kron_and_hermiticity_defect_take_only_numbers(call):
+    with pytest.raises(NotAState):
+        call()
+
+
+def test_hermiticity_defect():
+    assert linalg.hermiticity_defect([[1.0, 2.0 + 1j], [2.0 - 1j, 0.0]]) == 0.0
+    assert linalg.hermiticity_defect([[0.0, 1.0], [0.0, 0.0]]) == 1.0
+
+
 def test_evolve_numeric_that_overflows_is_not_a_state():
     # finite entries whose conjugation by the propagator overflows a float
     rng = np.random.default_rng(7)

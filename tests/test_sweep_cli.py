@@ -76,6 +76,12 @@ class TestSweepConfig:
         with pytest.raises(InvalidConfig):
             SweepConfig(**field).check()
 
+    @pytest.mark.parametrize("field, value", [("tau_bar_start", np.complex128(2 + 1j)),
+                                              ("tau_bar_end", math.nan)])
+    def test_a_bad_range_end_is_named(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"^{field}: "):
+            SweepConfig(**{field: value}).check()
+
     def test_numpy_integer_measured_subsystem(self):
         SweepConfig(measured_subsystem=np.int64(1)).check()
 
@@ -317,7 +323,7 @@ class TestPresetBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["fig1"], "200fa6873a2205c1e85db73b7685c8415e7345273e2e3f33a4cf438fafcbc26a"),
         (["fig2", "--points", "21"],
-         "28630e8893e381738f5d95fba4c223e5f9ac8a6643fa45e164936a79705018a1"),
+         "e1a6e7793f4666601044b58cbe7b0178235924c578b7b3941983958918fb8027"),
     ], ids=["fig1", "fig2-21"])
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
