@@ -14,7 +14,6 @@ from .coherence import (
     IntensityProfile,
     analytic_intensities,
     decompose,
-    initial_polarization,
     intensity,
 )
 from .dimer import (
@@ -23,6 +22,7 @@ from .dimer import (
     evolve_analytic,
     evolve_numeric,
     ht_reference,
+    initial_polarization,
     initial_state,
     mq_hamiltonian,
     propagator,

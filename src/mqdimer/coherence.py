@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import DimerParams, as_float, param_tau_bar
+from .dimer import DimerParams, as_float, initial_polarization, param_tau_bar
 from .errors import InvalidParams, NonRealIntensity
 from .linalg import _finite_matrix, _integer
 
@@ -50,16 +50,6 @@ class IntensityProfile:
     g_plus2: float
     g_minus2: float
     j2: float
-
-
-def initial_polarization(p: DimerParams) -> float:
-    """Longitudinal polarization of the initial state, (e^b |alpha|^2 - |beta|^2) / (e^b + 1).
-
-    This is the conserved total G0 + G(+2) + G(-2) and the prefactor of every
-    closed-form intensity and of the concurrence.
-    """
-    w0, w1 = p.thermal_weights
-    return abs(p.alpha) ** 2 * w0 - abs(p.beta) ** 2 * w1
 
 
 def analytic_intensities(p: DimerParams, tau=None, *, tau_bar=None) -> IntensityProfile:

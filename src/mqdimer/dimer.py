@@ -11,6 +11,10 @@ states, _numbers for numbers (a bool, text or None is not one, nor a complex a r
 _integer for integers. A bad time or parameter raises InvalidParams. The closed forms take
 one time or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference
 take one.
+
+The initial polarization F has one owner too: initial_polarization, the only place that
+forms F or the deviation tanh(b/2) = w0 - w1. The state's <00|rho|11> coherence, every
+closed-form intensity and the concurrence read F from it.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class DimerParams:
     @property
     def thermal_weights(self) -> tuple[float, float]:
         """Spin-2 populations (w0, w1) on |0>, |1>; the overflow-safe form of
-        (e^b, 1) / (e^b + 1)."""
+        (e^b, 1) / (e^b + 1). Their difference cancels at small b: initial_polarization
+        takes it as tanh(b/2) instead."""
         w1 = math.exp(-self.b) / (1.0 + math.exp(-self.b))
         return 1.0 - w1, w1
 
@@ -128,6 +133,23 @@ def require_state(rho) -> np.ndarray:
     return _checked_state(rho)[0]
 
 
+def initial_polarization(p: DimerParams) -> float:
+    """Longitudinal polarization of the initial state, F = |alpha|^2 w0 - |beta|^2 w1.
+
+    This is the conserved total G0 + G(+2) + G(-2) and the prefactor of every
+    closed-form intensity, of the concurrence and of the <00|rho|11> coherence
+    (i/2) F sin(2 tau_bar). With a2 = |alpha|^2, b2 = |beta|^2 and
+    t = tanh(b/2) = w0 - w1 it is evaluated as
+    (a2 - b2) (w0 if a2 >= b2 else w1) + min(a2, b2) t, two terms of one sign
+    unless F itself is near zero. So no O(1) weights cancel: F stays accurate
+    to the last digits as b -> 0 (F = t/2 at |alpha| = |beta|) and at large b.
+    """
+    w0, w1 = p.thermal_weights
+    a2 = abs(p.alpha) ** 2
+    b2 = abs(p.beta) ** 2
+    return (a2 - b2) * (w0 if a2 >= b2 else w1) + min(a2, b2) * math.tanh(0.5 * p.b)
+
+
 def initial_state(p: DimerParams) -> np.ndarray:
     """Pure spin 1 tensored with thermal spin 2."""
     psi = np.array([[p.alpha], [p.beta]], dtype=complex)
@@ -180,7 +202,8 @@ def closed_form_state(p: DimerParams, tb: float) -> np.ndarray:
     """evolve_analytic at a dimensionless time tb that is taken as given.
 
     No check on tb: a NaN time gives a NaN matrix. Callers that take a
-    time from outside resolve it with param_tau_bar first.
+    time from outside resolve it with param_tau_bar first. The <00|rho|11>
+    coherence reads F from initial_polarization.
     """
     w0, w1 = p.thermal_weights
     a2 = abs(p.alpha) ** 2
@@ -193,7 +216,7 @@ def closed_form_state(p: DimerParams, tb: float) -> np.ndarray:
     m[0, 0] = a2 * c * c * w0 + b2 * s * s * w1
     m[0, 1] = -1j * np.conj(g) * s * w1
     m[0, 2] = g * c * w0
-    m[0, 3] = 0.5j * s2 * (a2 * w0 - b2 * w1)
+    m[0, 3] = 0.5j * s2 * initial_polarization(p)
     m[1, 1] = a2 * w1
     m[1, 3] = g * c * w1
     m[2, 2] = b2 * w0

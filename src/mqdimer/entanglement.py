@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherence import initial_polarization
-from .dimer import DimerParams, as_float, finite_array, param_tau_bar
+from .dimer import DimerParams, as_float, finite_array, initial_polarization, param_tau_bar
 from .linalg import PAULI_Y, _checked_state, _finite_matrix, kron
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
@@ -45,7 +44,7 @@ def concurrence_analytic(p: DimerParams, tau=None, *, tau_bar=None) -> float:
 def concurrence_from_intensities(p: DimerParams, j2):
     """Concurrence recovered from the summed second-order intensity, elementwise on arrays.
 
-    C = sqrt(|(e^b |alpha|^2 - |beta|^2) j2| / (e^b + 1)); equals
+    C = sqrt(|F j2|) with F the initial polarization; equals
     concurrence_analytic when j2 is the closed-form J2 at the same time.
     j2 inherits the sign of the initial polarization, so negative values
     are legitimate and the absolute value absorbs them.

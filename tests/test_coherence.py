@@ -8,6 +8,7 @@ from mqdimer import (
     ORDERS,
     DimerParams,
     analytic_intensities,
+    concurrence_analytic,
     decompose,
     evolve_analytic,
     ht_reference,
@@ -190,3 +191,48 @@ class TestAnalyticIntensities:
         p = DimerParams(0.6, 0.8, 2.0)
         prof = analytic_intensities(p, tau_bar=np.linspace(0.0, 1.0, 6).reshape(2, 3))
         assert all(v.shape == (2, 3) for v in vars(prof).values())
+
+
+#: (b, alpha, beta, F, G0, G(+2) = G(-2), J2, concurrence) at tau_bar = 0.3, from the float
+#: inputs in 50-digit arithmetic; the |alpha| = |beta| rows are where |alpha|^2 w0 - |beta|^2 w1
+#: cancels, the b = 40 row is where 1 + tanh(b/2) loses w1 = 4.2e-18 entirely
+HIGH_TEMPERATURE = [
+    (1e-2, ISQ, ISQ, 2.4999791668749975e-3, 1.7029330020111435e-3, 3.9852308243192702e-4,
+     7.9704616486385405e-4, 1.4115944202203584e-3),
+    (1e-2, 0.6, 0.8, -1.3750002083312505e-1, -9.3662109811356043e-2, -2.1918955510884504e-2,
+     -4.3837911021769008e-2, 7.7638351855084616e-2),
+    (1e-2, 0.8, 0.6j, 1.4249997916687505e-1, 9.706797581537833e-2, 2.2716001675748358e-2,
+     4.5432003351496716e-2, 8.0461540695525334e-2),
+    (1e-5, ISQ, ISQ, 2.4999999999791664e-6, 1.7029471930816506e-6, 3.985264034487579e-7,
+     7.9705280689751579e-7, 1.4116061834758248e-6),
+    (1e-5, 0.6, 0.8, -1.3999750000000007e-1, -9.5363339866174105e-2, -2.2317080066912982e-2,
+     -4.4634160133825965e-2, 7.9048534669121499e-2),
+    (1e-5, 0.8, 0.6j, 1.4000250000000003e-1, 9.5366745760560268e-2, 2.231787711971988e-2,
+     4.463575423943976e-2, 7.9051357881488451e-2),
+    (1e-8, ISQ, ISQ, 2.4999999999999996e-9, 1.7029471930958417e-9, 3.9852640345207892e-10,
+     7.9705280690415784e-10, 1.4116061834875881e-9),
+    (1e-8, 0.6, 0.8, -1.3999999750000005e-1, -9.5365041110419994e-2, -2.2317478194790028e-2,
+     -4.4634956389580055e-2, 7.9049944863698792e-2),
+    (1e-8, 0.8, 0.6j, 1.4000000250000005e-1, 9.536504451631438e-2, 2.2317478991842835e-2,
+     4.4634957983685669e-2, 7.9049947686911159e-2),
+    (1e-12, ISQ, ISQ, 2.4999999999999995e-13, 1.7029471930958417e-13, 3.9852640345207891e-14,
+     7.9705280690415782e-14, 1.4116061834875881e-13),
+    (1e-12, 0.6, 0.8, -1.3999999999975005e-1, -9.5365042813196892e-2, -2.2317478593276578e-2,
+     -4.4634957186553157e-2, 7.9049946275163814e-2),
+    (1e-12, 0.8, 0.6j, 1.4000000000025005e-1, 9.5365042813537481e-2, 2.2317478593356284e-2,
+     4.4634957186712568e-2, 7.9049946275446136e-2),
+    (40.0, 0.0, 1.0, -4.248354255291589e-18, -2.8938891817302351e-18, -6.7723253678067695e-19,
+     -1.3544650735613539e-18, 2.3988012545661662e-18),
+]
+
+
+@pytest.mark.parametrize("b, alpha, beta, f, g0, g2, j2, c", HIGH_TEMPERATURE,
+                         ids=[f"b={r[0]:g}-{r[1]:.3g},{r[2]:.3g}"
+                              for r in HIGH_TEMPERATURE])
+def test_high_temperature_constants(b, alpha, beta, f, g0, g2, j2, c):
+    """F, the intensities and the concurrence to 1e-14 relative down to b = 1e-12."""
+    p = DimerParams(alpha, beta, b)
+    prof = analytic_intensities(p, tau_bar=0.3)
+    got = (initial_polarization(p), prof.g0, prof.g_plus2, prof.g_minus2, prof.j2,
+           concurrence_analytic(p, tau_bar=0.3))
+    assert_allclose(got, (f, g0, g2, g2, j2, c), rtol=1e-14, atol=0)

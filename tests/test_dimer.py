@@ -15,12 +15,13 @@ from mqdimer import (
     evolve_analytic,
     evolve_numeric,
     ht_reference,
+    initial_polarization,
     initial_state,
     mq_hamiltonian,
     propagator,
     require_state,
 )
-from mqdimer.dimer import param_tau_bar
+from mqdimer.dimer import closed_form_state, param_tau_bar
 from mqdimer.errors import InvalidConfig, InvalidParams, NotAState
 
 from oracles import random_amplitudes
@@ -196,6 +197,24 @@ class TestEvolution:
             ).max()
             worst = max(worst, float(diff))
         assert worst <= 1e-12
+
+    def test_corner_coherence_reads_the_one_polarization(self):
+        # <00|rho|11> is (i/2) F sin(2 tau_bar) with F from initial_polarization, bit for bit
+        rng = np.random.default_rng(7)
+        params = [DimerParams(ISQ, ISQ, 1e-12), DimerParams(0.0, 1.0, 40.0)]
+        params += [DimerParams(*random_amplitudes(rng), 10.0 ** rng.uniform(-12.0, 2.5))
+                   for _ in range(30)]
+        for p in params:
+            tb = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+            assert closed_form_state(p, tb)[0, 3] == 0.5j * math.sin(2.0 * tb) * initial_polarization(p)
+
+    def test_polarization_has_one_owner(self):
+        import mqdimer.coherence
+        import mqdimer.dimer
+        import mqdimer.entanglement
+
+        assert (initial_polarization is mqdimer.dimer.initial_polarization
+                is mqdimer.coherence.initial_polarization is mqdimer.entanglement.initial_polarization)
 
     def test_polarized_half_rotation(self):
         # cos(tau_bar) = 0 moves all population of the coupled pair to |11>

@@ -8,13 +8,17 @@ a numpy complex, None or a string. An input that is or holds a bool or text,
 numeric text too, must raise, and so must a complex value given where a real
 one is due (a time, b, d, an angle, a direction, a sweep range end).
 Any value of a SweepConfig field in a --config file makes the CLI exit 0
-or 2. The examples are derandomized, so every run draws the same ones.
+or 2. On valid DimerParams, the initial polarization stays within the error
+bound of the plain form that cancels. The examples are derandomized, so every
+run draws the same ones.
 """
 
+import cmath
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -39,6 +43,7 @@ from mqdimer import (
     evolve_analytic,
     evolve_numeric,
     ht_reference,
+    initial_polarization,
     initial_state,
     minimize_conditional_entropy,
     mutual_information,
@@ -160,6 +165,28 @@ def test_dimer_params_fields(field, value):
     numbers = is_real_number(value) if field in ("b", "d") else not holds_bool_or_text(value)
     finite_or_typed_error(lambda: DimerParams(**fields).thermal_weights, numbers)
     finite_or_typed_error(lambda: DimerParams.normalized(**fields).thermal_weights, numbers)
+
+
+#: valid DimerParams: spin 1 at polar angle theta with a relative phase, b from 1e-300 to 800
+VALID_PARAMS = st.builds(
+    lambda theta, phase, b: DimerParams(math.cos(theta), math.sin(theta) * cmath.exp(1j * phase), b),
+    st.floats(0.0, math.pi / 2.0),
+    st.floats(-math.pi, math.pi),
+    st.one_of(st.floats(0.0, 800.0), st.floats(-300.0, 2.9).map(lambda e: 10.0**e)),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(p=VALID_PARAMS)
+@example(p=DimerParams(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 1e-12))
+@example(p=DimerParams(0.0, 1.0, 40.0))
+def test_initial_polarization_matches_the_plain_form(p):
+    """|F| <= 1, and F is within the error bound of a2 w0 - b2 w1, the form that cancels."""
+    f = initial_polarization(p)
+    w0, w1 = p.thermal_weights
+    a2, b2 = abs(p.alpha) ** 2, abs(p.beta) ** 2
+    assert abs(f) <= 1.0
+    assert abs(f - (a2 * w0 - b2 * w1)) <= 4.0 * np.finfo(float).eps * (a2 * w0 + b2 * w1)
 
 
 RHO_EVOLVED = evolve_analytic(P, tau_bar=0.7)

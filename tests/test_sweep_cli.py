@@ -323,7 +323,7 @@ class TestPresetBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["fig1"], "200fa6873a2205c1e85db73b7685c8415e7345273e2e3f33a4cf438fafcbc26a"),
         (["fig2", "--points", "21"],
-         "e1a6e7793f4666601044b58cbe7b0178235924c578b7b3941983958918fb8027"),
+         "117eba9122ac1bf354e21481c8c6a1947d234310887ac7856d37c83060864099"),
     ], ids=["fig1", "fig2-21"])
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
@@ -368,6 +368,13 @@ class TestCliProcess:
         assert main(["state", "--alpha", "1", "--beta", "0", "--b", "10",
                      "--tau-bar", str(math.pi / 4.0)]) == 0
         assert "0.499977301i" in capsys.readouterr().out
+
+    def test_state_keeps_the_coherence_at_high_temperature(self, capsys):
+        # the exact <00|rho|11> is i sin(1.4) tanh(5e-13) / 4 = 1.2318121625e-13i; the
+        # difference of the thermal weights gave 1.23178491e-13i
+        assert main(["state", "--alpha", "0.7071067811865476", "--beta", "0.7071067811865476",
+                     "--b", "1e-12", "--tau-bar", "0.7"]) == 0
+        assert "0.00000000+1.23181216e-13i" in capsys.readouterr().out
 
     def test_sweep_with_config_and_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
