@@ -1,9 +1,9 @@
 """Command-line front end: sweeps, state dumps, and the two bundled presets.
 
-The CLI only turns text into values: every string value of a SweepConfig
-field, from a flag, a preset or the --config file, goes through that field's
-one parser in _PARSERS, and SweepConfig.check owns every type and range rule.
-`state` takes its amplitudes, b and --renormalize through the same flags.
+The CLI only turns text into values: every string value, from a flag, a
+preset or the --config file, goes through its one parser in _PARSERS, and
+SweepConfig.check and param_tau_bar own every type and range rule. `state`
+reads --tau-bar, its amplitudes, b and --renormalize through the same flags.
 
 Exit codes: 0 on success, 2 for an invalid configuration, 3 for an I/O
 failure. Amplitudes are parsed as plain reals ("0.6"), cartesian pairs
@@ -88,15 +88,15 @@ def _quantity_list(text: str) -> tuple[str, ...]:
     return tuple(q for q in QUANTITIES if q in names) + tuple(sorted(names - set(QUANTITIES)))
 
 
-#: one text parser per SweepConfig field; the fields not named here keep their text
+#: one text parser per CLI value; the values not named here keep their text
 _PARSERS = dict(alpha=parse_amplitude, beta=parse_amplitude, b=float, tau_bar_start=float,
                 tau_bar_end=float, points=_integer, measured_subsystem=_integer,
-                quantities=_quantity_list)
+                quantities=_quantity_list, tau_bar=float)
 
 
 def _parse(key: str, value):
-    """A string value read by its field's parser (an integer field also reads a JSON
-    float: 4.0 is 4); any other value is left as it is for SweepConfig.check."""
+    """A string value read by its parser (an integer field also reads a JSON float:
+    4.0 is 4); any other value is left as it is for SweepConfig.check or param_tau_bar."""
     parse = _PARSERS.get(key)
     if parse is None or not isinstance(value, (str, float) if parse is _integer else str):
         return value
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     state = subs.add_parser("state", help="print the evolved density matrix")
     _add_sweep_flags(state, full=False)
-    state.add_argument("--tau-bar", type=float, default=0.0)
+    state.add_argument("--tau-bar", default=0.0)
     return parser
 
 
@@ -184,8 +184,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "state":
-            p = _sweep_config(args, None).params()
-            print(format_state(p.alpha, p.beta, p.b, param_tau_bar(p.d, None, args.tau_bar)))
+            p, tau_bar = _sweep_config(args, None).params(), _parse("tau_bar", args.tau_bar)
+            print(format_state(p.alpha, p.beta, p.b, param_tau_bar(p.d, None, tau_bar)))
         else:
             for path in run_sweep(_sweep_config(args, PRESETS.get(args.command))):
                 print(f"wrote {path}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import DimerParams, as_float, initial_polarization, param_tau_bar
+from .dimer import DimerParams, initial_polarization, param_tau_bar
 from .errors import InvalidParams, NonRealIntensity
-from .linalg import _finite_matrix, _integer
+from .linalg import _finite_matrix, _integer, as_float
 
 ORDERS = (-2, -1, 0, 1, 2)
 INTENSITY_IMAG_TOL = 1e-9

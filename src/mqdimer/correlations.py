@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimer import _number, finite_array
 from .errors import NotUnitVector
-from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _numbers,
-                     _spin_label)
+from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _number,
+                     _numbers, _spin_label, finite_array)
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14

@@ -7,10 +7,10 @@ exp(b)/(exp(b)+1) on |0>. Closed-form results are functions of the
 dimensionless time tau_bar = d * tau only.
 
 Each input rule has one owner: param_tau_bar for times; in linalg, _checked_state for
-states, _numbers for numbers (a bool, text or None is not one, nor a complex a real) and
-_integer for integers. A bad time or parameter raises InvalidParams. The closed forms take
-one time or an array of times; evolve_analytic, propagator, evolve_numeric and ht_reference
-take one.
+states, _numbers for numbers (a bool, text or None is not one, nor a complex a real) with
+its scalar and array wrappers _number and finite_array, and _integer for integers. A bad
+time or parameter raises InvalidParams. The closed forms take one time or an array of
+times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 
 The initial polarization F has one owner too: initial_polarization, the only place that
 forms F or the deviation tanh(b/2) = w0 - w1. The state's <00|rho|11> coherence, every
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import _checked_state, _finite_matrix, _numbers, eig_hermitian, kron
+from .linalg import (_checked_state, _finite_matrix, _number, as_float, eig_hermitian, finite_array,
+                     kron)
 
 NORMALIZATION_TOL = 1e-9
 
@@ -74,14 +75,6 @@ class DimerParams:
         return 1.0 - w1, w1
 
 
-def _number(x, name: str, kind=float):
-    """x as one Python float (or complex); anything else, a bool, text or None too: InvalidParams."""
-    number = _numbers(x, kind, InvalidParams, f"{name} must be a number")
-    if number.ndim:
-        raise InvalidParams(f"{name} must be a number, got {x!r}")
-    return kind(number)
-
-
 def _squared_norm(alpha: complex, beta: complex) -> float:
     """|alpha|^2 + |beta|^2, or inf where that overflows a float."""
     try:
@@ -96,20 +89,6 @@ def _coupling(d) -> float:
     if not math.isfinite(d) or d <= 0:
         raise InvalidParams(f"d must be finite and > 0, got {d!r}")
     return d
-
-
-def finite_array(x, name: str) -> np.ndarray:
-    """x as a float ndarray; a bool, text, None, a complex, or a NaN or +-inf anywhere, raises
-    InvalidParams."""
-    x = _numbers(x, float, InvalidParams, f"{name} must be a number or an array of numbers")
-    if not np.isfinite(x).all():
-        raise InvalidParams(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
-    return x
-
-
-def as_float(x):
-    """A 0-d result as a Python float; an array as it is."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def param_tau_bar(d, tau, tau_bar, one_time_for: str | None = None):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dimer import DimerParams, as_float, finite_array, initial_polarization, param_tau_bar
-from .linalg import PAULI_Y, _checked_state, _finite_matrix, kron
+from .dimer import DimerParams, initial_polarization, param_tau_bar
+from .linalg import PAULI_Y, _checked_state, _finite_matrix, as_float, finite_array, kron
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
 

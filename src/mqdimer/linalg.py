@@ -1,10 +1,10 @@
-"""Fixed-size complex matrix kernels for the two-spin toolkit (2x2 and 4x4 only)."""
+"""Fixed-size 2x2 and 4x4 complex matrix kernels and the input rules of the two-spin toolkit."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadSubsystemId, NotAState, NotHermitian
+from .errors import BadSubsystemId, InvalidParams, NotAState, NotHermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -97,6 +97,28 @@ def _numbers(x, dtype, error, what: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{what}, got {x!r}")
+
+
+def _number(x, name: str, kind=float):
+    """x as one Python float (or complex); anything else, a bool, text or None too: InvalidParams."""
+    number = _numbers(x, kind, InvalidParams, f"{name} must be a number")
+    if number.ndim:
+        raise InvalidParams(f"{name} must be a number, got {x!r}")
+    return kind(number)
+
+
+def finite_array(x, name: str) -> np.ndarray:
+    """x as a float ndarray; a bool, text, None, a complex, or a NaN or +-inf anywhere, raises
+    InvalidParams."""
+    x = _numbers(x, float, InvalidParams, f"{name} must be a number or an array of numbers")
+    if not np.isfinite(x).all():
+        raise InvalidParams(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
+    return x
+
+
+def as_float(x):
+    """A 0-d result as a Python float; an array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _matrix(m, shapes=((4, 4),)) -> np.ndarray:

@@ -26,7 +26,7 @@ from .dimer import DimerParams, evolve_analytic, param_tau_bar
 from .correlations import discord
 from .entanglement import concurrence_analytic
 from .errors import InvalidConfig, InvalidParams
-from .linalg import _integer, _spin_label
+from .linalg import _integer, _spin_label, finite_array
 
 CSV_COLUMNS = ("tau_bar", "g0", "g2", "gm2", "j2", "concurrence", "discord")
 CSV_HEADER = ",".join(CSV_COLUMNS)
@@ -156,7 +156,7 @@ def _format_rows(line: str, table: np.ndarray):
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
-    """Read a sweep CSV back into arrays; absent columns come back as None."""
+    """A sweep CSV's columns as arrays, absent ones as None; InvalidConfig for a non-finite cell."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidConfig(f"unexpected CSV header in {path}")
@@ -170,9 +170,9 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
     out: dict[str, np.ndarray | None] = {}
     for name, col in zip(CSV_COLUMNS, cols):
         try:
-            out[name] = None if "" in col else np.array(col, dtype=float)
-        except ValueError:
-            raise InvalidConfig(f"non-numeric cell in column {name} of {path}") from None
+            out[name] = None if "" in col else finite_array(np.array(col, dtype=float), name)
+        except (ValueError, InvalidParams):
+            raise InvalidConfig(f"non-numeric or non-finite cell in column {name} of {path}") from None
     return out
 
 

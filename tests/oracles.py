@@ -7,8 +7,10 @@ lifts the projectors onto both spins and needs no Pauli algebra at all,
 and entropies/partial traces are local re-implementations. The sweep
 writers' references format one row or one point at a time.
 eig_general_moduli gives the concurrence spectrum through a general
-(non-Hermitian) eigensolver. The one name taken from mqdimer is the error
-type it raises.
+(non-Hermitian) eigensolver. rank2_min_cond_entropy gives the minimal
+conditional entropy of a rank <= 2 state in closed form, where the library
+searches over measurement directions. The one name taken from mqdimer is the
+error type that eig_general_moduli raises.
 """
 
 from __future__ import annotations
@@ -173,6 +175,22 @@ def zoomed_grid_min(rho, measured=2, zooms=4, n_side=33, **grid):
             best, n0 = float(vals[i]), dirs[i]
         half /= 8.0
     return best, n0
+
+
+def rank2_min_cond_entropy(rho, measured=2):
+    """Closed-form minimum over all measurements on spin `measured` of the conditional
+    entropy of a state of rank <= 2, in bits. By Koashi and Winter it is the entanglement
+    of formation of the unmeasured spin and a purifying qubit, which Wootters' formula
+    gives from the concurrence C = |s0 - s1|, the singular values of Phi^T (sy x sy) Phi,
+    where column j of Phi is <j|_measured of the purification."""
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    purification = (v[:, 2:] * np.sqrt(np.clip(w[2:], 0.0, None))).reshape(2, 2, 2)
+    if measured == 2:
+        purification = purification.transpose(1, 0, 2)
+    phi = purification.reshape(2, 4).T
+    s = np.linalg.svd(phi.T @ np.kron(SY, SY) @ phi, compute_uv=False)
+    c = min(1.0, abs(s[0] - s[1]))
+    return float(_binary_entropy(np.array([(1.0 + np.sqrt(1.0 - c * c)) / 2.0]))[0])
 
 
 def random_amplitudes(rng):

@@ -33,6 +33,7 @@ from oracles import (
     random_density_matrix,
     random_directions,
     random_rank_state,
+    rank2_min_cond_entropy,
     ref_entropy_bits,
     ref_partial_trace,
     ref_pauli_correlations,
@@ -560,3 +561,37 @@ class TestPauliTable:
             r, s, t = ref_pauli_correlations(rho)
             expected = np.block([[np.ones((1, 1)), s[None, :]], [r[:, None], t]])
             assert np.abs(_pauli_table(np.asarray(rho, dtype=complex)) - expected).max() <= 1e-14
+
+
+def rank2_audit_states() -> dict:
+    """Rank <= 2 states by family: seeded evolved states (b in [0, 15], tau_bar in
+    [0, 2 pi]), random rank-2 states with the smallest eigenvalue in 1e-6..1e-1, the
+    rank <= 2 spot states (the pure ones at b = 800 among them) and 21 fig2 points."""
+    rng = np.random.default_rng(1703)
+    alpha, beta, b = FIG2_STATE_PARAMS
+    return {
+        "evolved": [evolve_analytic(DimerParams(*random_amplitudes(rng), rng.uniform(0.0, 15.0)),
+                                    tau_bar=rng.uniform(0.0, 2.0 * math.pi)) for _ in range(40)],
+        "rank 2": [random_rank_state(rng, 2, 10.0 ** rng.uniform(-6.0, -1.0)) for _ in range(20)],
+        "spot": [rho for rho in SPOT_STATES.values() if np.linalg.eigvalsh(rho)[1] <= 1e-12],
+        "fig2": [evolve_analytic(DimerParams(alpha, beta, b), tau_bar=tb)
+                 for tb in np.linspace(0.0, math.pi, 21)],
+    }
+
+
+RANK2_AUDIT_STATES = rank2_audit_states()
+
+
+class TestClosedFormAudit:
+    """The optimizer against the Koashi-Winter closed form of the minimal conditional
+    entropy on rank <= 2 states, measuring either spin. The closed form is the minimum
+    over all POVMs, so no projective measurement goes below it beyond roundoff."""
+
+    @pytest.mark.parametrize("family", RANK2_AUDIT_STATES)
+    def test_optimizer_matches_the_closed_form(self, family):
+        for rho in RANK2_AUDIT_STATES[family]:
+            for measured in (1, 2):
+                _, value = minimize_conditional_entropy(rho, measured)
+                closed = rank2_min_cond_entropy(rho, measured)
+                assert abs(value - closed) <= 5e-14, (measured, value, closed)
+                assert value >= closed - 1e-12

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -274,3 +277,42 @@ class TestVonNeumannEntropy:
     def test_clamps_tiny_negatives(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])
         assert linalg.von_neumann_entropy(rho) >= 0.0
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The mqdimer modules that a module's source imports, relative or absolute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mqdimer")):
+            module = (node.module or "").removeprefix("mqdimer").lstrip(".")
+            names |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("mqdimer.")}
+    return names
+
+
+def test_import_layers_and_one_home_for_the_number_rule():
+    """The package-internal import edges: linalg sits on errors alone, the two-qubit layer
+    (correlations) reads no dimer code, and only __main__ reaches the CLI. The number rule
+    and its wrappers are defined in linalg only; dimer and the package still export them."""
+    import mqdimer
+    from mqdimer import dimer
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(linalg.__file__).parent.glob("*.py")}
+    imports = {name: _package_imports(tree) for name, tree in trees.items()}
+    assert imports["linalg"] <= {"errors"}
+    assert imports["correlations"] <= {"linalg", "errors"}
+    assert imports["dimer"] <= {"linalg", "errors"}
+    for name in ("coherence", "entanglement"):
+        assert imports[name] <= {"dimer", "linalg", "errors"}, name
+    assert [name for name, deps in imports.items() if "cli" in deps] == ["__main__"]
+
+    for rule in ("_numbers", "_number", "finite_array", "as_float"):
+        homes = [name for name, tree in trees.items()
+                 if any(isinstance(node, ast.FunctionDef) and node.name == rule for node in tree.body)]
+        assert homes == ["linalg"], rule
+    for name in ("_number", "finite_array", "as_float"):
+        assert getattr(dimer, name) is getattr(linalg, name)
+    assert dimer.require_state is mqdimer.require_state
+    assert all(hasattr(mqdimer, name) for name in mqdimer.__all__)

@@ -258,11 +258,19 @@ class TestReadCsv:
         ["0.0,1.0,,,,,,"],
         ["0.0,1.0,,,,,", "0.5,one,,,,,"],
         ["0.0,1.0,,,,,0x1p3", "0.5,2.0,,,,,0.25"],
-    ], ids=["ragged", "eight cells", "word", "hex float"])
+        ["nan,,,,,,"],
+        ["0.0,1.0,,,,,", "0.5,-inf,,,,,"],
+    ], ids=["ragged", "eight cells", "word", "hex float", "nan", "inf"])
     def test_malformed_rows_raise_invalid_config(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
         with pytest.raises(InvalidConfig):
+            read_csv(path)
+
+    def test_wrong_header_raises_invalid_config(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER.replace("g0", "g1") + "\n0.0,1.0,,,,,\n")
+        with pytest.raises(InvalidConfig, match="unexpected CSV header"):
             read_csv(path)
 
 
@@ -401,7 +409,10 @@ class TestCliProcess:
         assert main(["sweep", "--config", str(cfg_file)]) == 2
         cfg_file.write_text("{\"b\": \"warm\"}")
         assert main(["sweep", "--config", str(cfg_file)]) == 2
-        assert capsys.readouterr().out == ""
+        cfg_file.write_text("[1, 2]")
+        assert main(["sweep", "--config", str(cfg_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"config file {cfg_file}: expected a JSON object" in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_non_finite_tau_bar_exit_code(self, capsys):
@@ -411,6 +422,14 @@ class TestCliProcess:
         assert proc.stderr == "error: tau_bar must be finite, got nan\n"
         assert main(["state", "--tau-bar", "inf"]) == 2
         assert capsys.readouterr() == ("", "error: tau_bar must be finite, got inf\n")
+
+    def test_non_numeric_tau_bar_exits_2_without_usage(self, capsys):
+        # a bad time fails like every other bad value: one error line, no argparse usage text
+        assert main(["state", "--tau-bar", "abc"]) == 2
+        assert capsys.readouterr() == ("", "error: tau_bar must be a number, got 'abc'\n")
+        proc = run_cli("state", "--tau-bar", "abc")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: tau_bar must be a number, got 'abc'\n"
 
     def test_renormalize_must_be_json_bool(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
