@@ -76,7 +76,7 @@ def parse_amplitude(text: str) -> complex:
     return x * complex(math.cos(math.radians(y)), math.sin(math.radians(y)))
 
 
-def _integer(text: str | float) -> int | float:
+def _integer_text(text: str | float) -> int | float:
     """"4", "4.0", "1e3" or a JSON 4.0 as an int; 1.5 stays 1.5, for check() to reject."""
     number = float(text)
     return int(number) if number.is_integer() else number
@@ -90,7 +90,7 @@ def _quantity_list(text: str) -> tuple[str, ...]:
 
 #: one text parser per CLI value; the values not named here keep their text
 _PARSERS = dict(alpha=parse_amplitude, beta=parse_amplitude, b=float, tau_bar_start=float,
-                tau_bar_end=float, points=_integer, measured_subsystem=_integer,
+                tau_bar_end=float, points=_integer_text, measured_subsystem=_integer_text,
                 quantities=_quantity_list, tau_bar=float)
 
 
@@ -98,12 +98,12 @@ def _parse(key: str, value):
     """A string value read by its parser (an integer field also reads a JSON float:
     4.0 is 4); any other value is left as it is for SweepConfig.check or param_tau_bar."""
     parse = _PARSERS.get(key)
-    if parse is None or not isinstance(value, (str, float) if parse is _integer else str):
+    if parse is None or not isinstance(value, (str, float) if parse is _integer_text else str):
         return value
     try:
         return parse(value)
     except ValueError:
-        kind = "an integer" if parse is _integer else "a number"
+        kind = "an integer" if parse is _integer_text else "a number"
         raise InvalidConfig(f"{key} must be {kind}, got {value!r}") from None
 
 

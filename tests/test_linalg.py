@@ -293,8 +293,9 @@ def _package_imports(tree: ast.Module) -> set:
 
 def test_import_layers_and_one_home_for_the_number_rule():
     """The package-internal import edges: linalg sits on errors alone, the two-qubit layer
-    (correlations) reads no dimer code, and only __main__ reaches the CLI. The number rule
-    and its wrappers are defined in linalg only; dimer and the package still export them."""
+    (correlations) reads no dimer code, and only __main__ reaches the CLI. The number rule,
+    its wrappers and the integer rule are defined in linalg only (the CLI's text-to-int
+    parser is _integer_text); dimer and the package still export the wrappers."""
     import mqdimer
     from mqdimer import dimer
 
@@ -308,7 +309,7 @@ def test_import_layers_and_one_home_for_the_number_rule():
         assert imports[name] <= {"dimer", "linalg", "errors"}, name
     assert [name for name, deps in imports.items() if "cli" in deps] == ["__main__"]
 
-    for rule in ("_numbers", "_number", "finite_array", "as_float"):
+    for rule in ("_numbers", "_number", "finite_array", "as_float", "_integer"):
         homes = [name for name, tree in trees.items()
                  if any(isinstance(node, ast.FunctionDef) and node.name == rule for node in tree.body)]
         assert homes == ["linalg"], rule

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from numpy.testing import assert_allclose
 
 from mqdimer import DimerParams, SweepConfig, analytic_intensities, concurrence_analytic, run_sweep
 from mqdimer.cli import _sweep_config, build_parser, format_state, main, parse_amplitude
+from mqdimer import sweep
 from mqdimer.errors import InvalidConfig
-from mqdimer.sweep import _BLOCK_ROWS, CSV_HEADER, read_csv, write_csv, write_svg
+from mqdimer.sweep import _BLOCK_ROWS, CSV_COLUMNS, CSV_HEADER, read_csv, write_csv, write_svg
 
 from oracles import ref_polyline_points, ref_write_csv
 
@@ -237,6 +239,33 @@ class TestBlockWriters:
         write_svg(tmp_path / "block.svg", taus, series)
         svg = (tmp_path / "block.svg").read_text()
         assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+
+    @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 2], ids=["shorter", "longer"])
+    def test_a_column_of_another_length_leaves_no_file(self, tmp_path, write, rows):
+        taus = np.linspace(0.0, 1.0, _BLOCK_ROWS + 1)
+        path = tmp_path / "out"
+        with pytest.raises(InvalidConfig, match="column j2 "):
+            write(path, taus, {"g0": np.zeros(len(taus)), "j2": np.zeros(rows)})
+        assert not path.exists()
+
+    def test_writer_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
+        peaks = {}
+        for blocks in (1, 4, 32):  # the 1-block pass only warms caches up
+            rng = np.random.default_rng(blocks)
+            taus = np.linspace(0.0, math.pi, 256 * blocks)
+            cols = {name: rng.standard_normal(len(taus)) for name in CSV_COLUMNS[1:]}
+            series = {q: cols[q] for q in ("g0", "j2", "concurrence")}
+            for write, data in ((write_csv, cols), (write_svg, series)):
+                tracemalloc.start()
+                try:
+                    write(tmp_path / "out", taus, data)
+                    peaks[write.__name__, blocks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for name in ("write_csv", "write_svg"):
+            assert peaks[name, 32] <= 1.25 * peaks[name, 4], peaks
 
 
 class TestReadCsv:
