@@ -4,8 +4,10 @@ The pair starts with spin 1 in a pure superposition and spin 2 in thermal
 equilibrium, and evolves under the two-quantum coupling that exchanges
 |00> and |11>. The toolkit provides the evolved density matrix (closed
 form and brute force), coherence-order intensities, Wootters concurrence,
-and quantum discord via projective-measurement optimization, plus CSV/SVG
-sweep output through :mod:`mqdimer.sweep` and the ``mqdimer`` CLI.
+and quantum discord by one route per input: the evolved pair's discord in
+closed form from its parameters (discord_curve, which sweeps use), and a
+projective-measurement optimization for a 4x4 matrix (discord), plus
+CSV/SVG sweep output through :mod:`mqdimer.sweep` and the ``mqdimer`` CLI.
 """
 
 from . import linalg
@@ -44,6 +46,7 @@ from .entanglement import (
     concurrence_from_intensities,
     concurrence_numeric,
     concurrence_spectrum,
+    discord_curve,
     spin_flip,
 )
 from .errors import (
@@ -89,6 +92,7 @@ __all__ = [
     "decompose",
     "direction",
     "discord",
+    "discord_curve",
     "evolve_analytic",
     "evolve_numeric",
     "ht_reference",

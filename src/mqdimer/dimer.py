@@ -12,9 +12,11 @@ its scalar and array wrappers _number and finite_array, and _integer for integer
 time or parameter raises InvalidParams. The closed forms take one time or an array of
 times; evolve_analytic, propagator, evolve_numeric and ht_reference take one.
 
-The initial polarization F has one owner too: initial_polarization, the only place that
-forms F or the deviation tanh(b/2) = w0 - w1. The state's <00|rho|11> coherence, every
-closed-form intensity and the concurrence read F from it.
+The initial polarization F has one owner too: initial_polarization and the two helpers it
+delegates to, _polarization (F for given spin-1 populations, so also F' = |beta|^2 w0 -
+|alpha|^2 w1 with the populations swapped) and _deviation (t = tanh(b/2) = w0 - w1), are
+the only code that forms F, F' or t. The state's <00|rho|11> coherence, every closed-form
+intensity, the concurrence and the closed-form discord read them there.
 """
 
 from __future__ import annotations
@@ -123,10 +125,18 @@ def initial_polarization(p: DimerParams) -> float:
     unless F itself is near zero. So no O(1) weights cancel: F stays accurate
     to the last digits as b -> 0 (F = t/2 at |alpha| = |beta|) and at large b.
     """
+    return _polarization(p, abs(p.alpha) ** 2, abs(p.beta) ** 2)
+
+
+def _polarization(p: DimerParams, a2: float, b2: float) -> float:
+    # initial_polarization's F for spin-1 populations a2 on |0> and b2 on |1>
     w0, w1 = p.thermal_weights
-    a2 = abs(p.alpha) ** 2
-    b2 = abs(p.beta) ** 2
-    return (a2 - b2) * (w0 if a2 >= b2 else w1) + min(a2, b2) * math.tanh(0.5 * p.b)
+    return (a2 - b2) * (w0 if a2 >= b2 else w1) + min(a2, b2) * _deviation(p)
+
+
+def _deviation(p: DimerParams) -> float:
+    # t = w0 - w1 = tanh(b/2), formed without subtracting the weights
+    return math.tanh(0.5 * p.b)
 
 
 def initial_state(p: DimerParams) -> np.ndarray:

@@ -5,6 +5,10 @@ one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
+The discord column is discord_curve's closed form, evaluated one block of
+_BLOCK_ROWS rows at a time into one preallocated column, so its
+temporaries stay one block long.
+
 Both writers stream: they format one block of _BLOCK_ROWS rows at a time
 with one %-operation on a repeated line template (CSV cells are %r, i.e.
 repr; SVG polyline points are %.2f of the pixel coordinates, computed from
@@ -14,7 +18,9 @@ row or per point, and neither writer holds more than one block of text, so
 a sweep's memory is its float64 columns, 8 B per row each: a 1e6-row sweep
 of g0, j2 and concurrence peaks at ~80 MB RSS in every format, of which
 ~31 MB is the interpreter and numpy. A column whose shape is not that of
-tau_bar raises InvalidConfig before the file is opened.
+tau_bar raises InvalidConfig before the file is opened, as does an SVG of
+fewer than two rows or of equal first and last tau_bar, whose x axis has no
+length.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import analytic_intensities
-from .dimer import DimerParams, evolve_analytic, param_tau_bar
-from .correlations import discord
-from .entanglement import concurrence_analytic
+from .dimer import DimerParams, param_tau_bar
+from .entanglement import concurrence_analytic, discord_curve
 from .errors import InvalidConfig, InvalidParams
 from .linalg import _integer, _spin_label, finite_array
 
@@ -127,8 +132,9 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     if "concurrence" in want:
         columns["concurrence"] = concurrence_analytic(p, tau_bar=taus)
     if "discord" in want:
-        columns["discord"] = np.array([discord(evolve_analytic(p, tau_bar=tb),
-                                               cfg.measured_subsystem).q for tb in taus.tolist()])
+        columns["discord"] = q = np.empty_like(taus)
+        for rows in _row_blocks(len(taus)):
+            q[rows] = discord_curve(p, tau_bar=taus[rows], measured=cfg.measured_subsystem)
 
     base = Path(cfg.output_path)
     written: list[Path] = []
@@ -205,6 +211,10 @@ def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     ml, mr, mt, mb = 72, 18, 18, 56
     plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     taus, series = _float_columns(taus, series)
+    if taus.ndim != 1 or len(taus) < 2 or taus[0] == taus[-1]:
+        ends = f" from {float(taus.flat[0])!r} to {float(taus.flat[-1])!r}" if taus.size else ""
+        raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
+                            f"and last values, got {taus.size} rows{ends}")
     x_lo, x_hi = float(taus[0]), float(taus[-1])
 
     if series:

@@ -21,7 +21,7 @@ from mqdimer import (
     propagator,
     require_state,
 )
-from mqdimer.dimer import closed_form_state, param_tau_bar
+from mqdimer.dimer import _polarization, closed_form_state, param_tau_bar
 from mqdimer.errors import InvalidConfig, InvalidParams, NotAState
 
 from oracles import random_amplitudes
@@ -215,6 +215,16 @@ class TestEvolution:
 
         assert (initial_polarization is mqdimer.dimer.initial_polarization
                 is mqdimer.coherence.initial_polarization is mqdimer.entanglement.initial_polarization)
+
+    def test_swapped_polarization_is_that_of_the_swapped_pair(self):
+        # F' = |beta|^2 w0 - |alpha|^2 w1, which the closed-form discord reads, is F of the
+        # pair with alpha and beta swapped, bit for bit
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            alpha, beta = random_amplitudes(rng)
+            p = DimerParams(alpha, beta, 10.0 ** rng.uniform(-12.0, 2.5))
+            swapped = initial_polarization(DimerParams(beta, alpha, p.b))
+            assert _polarization(p, abs(beta) ** 2, abs(alpha) ** 2) == swapped
 
     def test_polarized_half_rotation(self):
         # cos(tau_bar) = 0 moves all population of the coupled pair to |11>

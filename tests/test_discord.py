@@ -12,8 +12,10 @@ from mqdimer import (
     concurrence_numeric,
     conditional_entropy,
     conditional_entropy_many,
+    concurrence_analytic,
     direction,
     discord,
+    discord_curve,
     evolve_analytic,
     initial_state,
     minimize_conditional_entropy,
@@ -595,3 +597,138 @@ class TestClosedFormAudit:
                 closed = rank2_min_cond_entropy(rho, measured)
                 assert abs(value - closed) <= 5e-14, (measured, value, closed)
                 assert value >= closed - 1e-12
+
+
+#: amplitude sets of the pinned discord values: |alpha| = |beta|, real, complex
+CURVE_AMPLITUDES = {"equal": (ISQ, ISQ), "real": (0.6, 0.8),
+                    "complex": (complex(0.3, 0.4), complex(-0.5, 0.7071067811865476))}
+#: (amplitudes, b, tau_bar, q measuring spin 1, q measuring spin 2), computed offline at
+#: 80 digits from the normalized 4x4 state: its eigendecomposition, the measured spin's
+#: partial trace, and the Koashi-Winter purifier with Wootters' concurrence from an SVD
+CURVE_REFERENCE = [
+    ("equal", 0.01, 0.3, 0.09039314920738378, 1.4373677094011608e-06),
+    ("equal", 0.01, 0.9, 0.1946631627040102, 4.275653834740824e-06),
+    ("equal", 0.01, 1.3, 0.07908048025673581, 1.1980652511032784e-06),
+    ("equal", 1e-05, 0.3, 0.09039235225399066, 1.4373801647966163e-12),
+    ("equal", 1e-05, 0.9, 0.19466245211822952, 4.275693689037767e-12),
+    ("equal", 1e-05, 1.3, 0.07908104890483295, 1.1980755665992233e-12),
+    ("equal", 1e-08, 0.3, 0.0903923522531937, 1.4373801648090715e-18),
+    ("equal", 1e-08, 0.9, 0.19466245211751895, 4.275693689077621e-18),
+    ("equal", 1e-08, 1.3, 0.0790810489054016, 1.1980755666095388e-18),
+    ("equal", 1e-12, 0.3, 0.0903923522531937, 1.4373801648090715e-26),
+    ("equal", 1e-12, 0.9, 0.19466245211751895, 4.2756936890776214e-26),
+    ("equal", 1e-12, 1.3, 0.07908104890540162, 1.1980755666095388e-26),
+    ("real", 0.01, 0.3, 0.09892411111494814, 0.0176343517624432),
+    ("real", 0.01, 0.9, 0.20972999591622904, 0.07300894323235786),
+    ("real", 0.01, 1.3, 0.08279050846299674, 0.08371790619008848),
+    ("real", 1e-05, 0.3, 0.09923646869306454, 0.017794052158904474),
+    ("real", 1e-05, 0.9, 0.2102840976104621, 0.07348912863426359),
+    ("real", 1e-05, 1.3, 0.08292819093903507, 0.08385566852803288),
+    ("real", 1e-08, 0.3, 0.09923678176697033, 0.01779421301540592),
+    ("real", 1e-08, 0.9, 0.21028465240653432, 0.07348961182238066),
+    ("real", 1e-08, 1.3, 0.08292832807838724, 0.08385580572733697),
+    ("real", 1e-12, 0.3, 0.099236782080327, 0.01779421317640849),
+    ("real", 1e-12, 0.9, 0.21028465296183088, 0.07348961230600709),
+    ("real", 1e-12, 1.3, 0.08292832821564959, 0.08385580586465932),
+    ("complex", 0.01, 0.3, 0.11759205237654122, 0.04744804236277861),
+    ("complex", 0.01, 0.9, 0.2430137494922929, 0.17215602473586883),
+    ("complex", 0.01, 1.3, 0.09107986485208151, 0.17291704710573452),
+    ("complex", 1e-05, 0.3, 0.11813294915302755, 0.04773464674627411),
+    ("complex", 1e-05, 0.9, 0.24398456158834175, 0.17303702668020948),
+    ("complex", 1e-05, 1.3, 0.09132426470359763, 0.17317842903209837),
+    ("complex", 1e-08, 0.3, 0.11813349062425554, 0.047734934116803615),
+    ("complex", 1e-08, 0.9, 0.24398553307011822, 0.17303790938930194),
+    ("complex", 1e-08, 1.3, 0.09132450861435785, 0.1731786882404633),
+    ("complex", 1e-12, 0.3, 0.11813349116621516, 0.047734934404433806),
+    ("complex", 1e-12, 0.9, 0.2439855340424759, 0.173037910272808),
+    ("complex", 1e-12, 1.3, 0.09132450885848786, 0.173178688499903),
+]
+
+
+class TestDiscordCurve:
+    """discord_curve, the closed form of the evolved pair's discord, against the optimizer,
+    the rank <= 2 oracle, high-precision values and the paper's high-temperature law."""
+
+    def test_matches_the_optimizer(self):
+        rng = np.random.default_rng(2111)
+        for _ in range(200):
+            p = DimerParams(*random_amplitudes(rng), rng.uniform(0.0, 12.0))
+            taus = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3)
+            for measured in (1, 2):
+                curve = discord_curve(p, tau_bar=taus, measured=measured)
+                optimized = [discord(evolve_analytic(p, tau_bar=tb), measured).q for tb in taus.tolist()]
+                assert np.abs(curve - optimized).max() <= 5e-14, (p, taus, measured)
+
+    def test_minimum_matches_the_rank2_oracle(self):
+        # q = S(rho_m) - S(rho) + min conditional entropy, with the entropies taken another way
+        rng = np.random.default_rng(2112)
+        for _ in range(50):
+            p = DimerParams(*random_amplitudes(rng), rng.uniform(0.0, 12.0))
+            tb = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+            rho = evolve_analytic(p, tau_bar=tb)
+            for measured in (1, 2):
+                minimum = (discord_curve(p, tau_bar=tb, measured=measured)
+                           - ref_entropy_bits(ref_partial_trace(rho, measured)) + ref_entropy_bits(rho))
+                assert abs(minimum - rank2_min_cond_entropy(rho, measured)) <= 5e-14, (p, tb, measured)
+
+    @pytest.mark.parametrize("amplitudes, b, tau_bar, q1, q2", CURVE_REFERENCE)
+    def test_high_precision_values(self, amplitudes, b, tau_bar, q1, q2):
+        p = DimerParams(*CURVE_AMPLITUDES[amplitudes], b)
+        for measured, exact in ((1, q1), (2, q2)):
+            error = abs(discord_curve(p, tau_bar=tau_bar, measured=measured) - exact)
+            assert error <= 1e-12 * exact and error <= 2e-15, (measured, error)
+
+    def test_high_temperature_law(self):
+        """At |alpha| = |beta| with spin 2 measured, q = C^2 / (2 ln 2) (1 + O(b^2)) for the
+        concurrence C, so the relative gap shrinks 100x per decade of b; measuring spin 1,
+        q stays O(1) while C^2 = O(b^2)."""
+        def ratio(b, measured):
+            p = DimerParams(ISQ, ISQ, b)
+            c = concurrence_analytic(p, tau_bar=math.pi / 4.0)
+            return discord_curve(p, tau_bar=math.pi / 4.0, measured=measured) * 2.0 * math.log(2.0) / c**2
+
+        gaps = [ratio(b, 2) - 1.0 for b in (1e-2, 1e-3, 1e-4)]
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 90.0 <= wide / narrow <= 110.0, gaps
+        assert min(ratio(b, 1) for b in (1e-2, 1e-3, 1e-4)) > 1e4
+
+    def test_fig2_golden_value(self):
+        alpha, beta, b = FIG2_STATE_PARAMS
+        q = discord_curve(DimerParams(alpha, beta, b), tau_bar=FIG2_TAU_BAR)
+        assert abs(q - GOLDEN_DISCORD) <= 1e-15
+
+    def test_arrays_match_scalars_bit_for_bit(self):
+        p = DimerParams(0.6, 0.8j, 0.7, d=2.0)
+        taus = np.linspace(-7.0, 7.0, 101).reshape(1, 101)
+        for measured in (1, 2):
+            curve = discord_curve(p, tau_bar=taus, measured=measured)
+            assert curve.shape == taus.shape
+            scalars = [discord_curve(p, tau_bar=tb, measured=measured) for tb in taus.ravel().tolist()]
+            assert all(type(q) is float for q in scalars)
+            assert curve.ravel().tolist() == scalars
+            assert np.array_equal(discord_curve(p, taus / 2.0, measured=measured), curve)
+
+    def test_exact_zeros_and_limits(self):
+        # a product state at tau_bar = 0 has no discord; a pure spin 1 with the thermal spin
+        # frozen out (b = 800, w1 = 0) is a pure state whose discord is its entanglement
+        assert discord_curve(DimerParams(0.6, 0.8, 2.0), tau_bar=0.0) == 0.0
+        p = DimerParams(1.0, 0.0, 800.0)
+        for measured in (1, 2):
+            q = discord_curve(p, tau_bar=math.pi / 4.0, measured=measured)
+            assert abs(q - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, "0.5", True, 0.5 + 0j, None, 2.0**1023])
+    def test_a_bad_time_raises(self, time):
+        with pytest.raises(InvalidParams):
+            discord_curve(DimerParams(0.6, 0.8, 2.0), tau_bar=time)
+
+    def test_one_time_argument(self):
+        p = DimerParams(0.6, 0.8, 2.0)
+        for tau, tau_bar in ((None, None), (0.5, 0.5)):
+            with pytest.raises(InvalidParams):
+                discord_curve(p, tau, tau_bar=tau_bar)
+
+    @pytest.mark.parametrize("measured", [0, 3, True, 2.0, "2", None, np.array([1])])
+    def test_a_bad_spin_label_raises(self, measured):
+        with pytest.raises(BadSubsystemId):
+            discord_curve(DimerParams(0.6, 0.8, 2.0), tau_bar=0.5, measured=measured)

@@ -293,7 +293,8 @@ def _package_imports(tree: ast.Module) -> set:
 
 def test_import_layers_and_one_home_for_the_number_rule():
     """The package-internal import edges: linalg sits on errors alone, the two-qubit layer
-    (correlations) reads no dimer code, and only __main__ reaches the CLI. The number rule,
+    (correlations) reads no dimer code, the sweep reads no optimizer (its discord column is
+    entanglement's closed form), and only __main__ reaches the CLI. The number rule,
     its wrappers and the integer rule are defined in linalg only (the CLI's text-to-int
     parser is _integer_text); dimer and the package still export the wrappers."""
     import mqdimer
@@ -307,6 +308,7 @@ def test_import_layers_and_one_home_for_the_number_rule():
     assert imports["dimer"] <= {"linalg", "errors"}
     for name in ("coherence", "entanglement"):
         assert imports[name] <= {"dimer", "linalg", "errors"}, name
+    assert imports["sweep"] <= {"coherence", "dimer", "entanglement", "errors", "linalg"}
     assert [name for name, deps in imports.items() if "cli" in deps] == ["__main__"]
 
     for rule in ("_numbers", "_number", "finite_array", "as_float", "_integer"):

@@ -40,6 +40,7 @@ from mqdimer import (
     decompose,
     direction,
     discord,
+    discord_curve,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
@@ -85,6 +86,7 @@ TIME_CALLS = {
     "evolve_analytic": lambda tau, tau_bar: evolve_analytic(P, tau, tau_bar=tau_bar),
     "analytic_intensities": lambda tau, tau_bar: analytic_intensities(P, tau, tau_bar=tau_bar),
     "concurrence_analytic": lambda tau, tau_bar: concurrence_analytic(P, tau, tau_bar=tau_bar),
+    "discord_curve": lambda tau, tau_bar: discord_curve(P, tau, tau_bar=tau_bar),
     "propagator": lambda tau, tau_bar: propagator(
         None if tau is None else 1.5, tau, tau_bar=tau_bar),
     "evolve_numeric": lambda tau, tau_bar: evolve_numeric(
@@ -187,6 +189,16 @@ def test_initial_polarization_matches_the_plain_form(p):
     a2, b2 = abs(p.alpha) ** 2, abs(p.beta) ** 2
     assert abs(f) <= 1.0
     assert abs(f - (a2 * w0 - b2 * w1)) <= 4.0 * np.finfo(float).eps * (a2 * w0 + b2 * w1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(p=VALID_PARAMS, measured=st.sampled_from([1, 2]))
+@example(p=DimerParams(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 1e-300), measured=2)
+@example(p=DimerParams(1.0, 0.0, 800.0), measured=1)
+def test_discord_curve_is_a_discord(p, measured):
+    """Over b from 1e-300 to 800, the closed-form discord is finite and within [0, 1] bit."""
+    q = discord_curve(p, tau_bar=np.linspace(-7.0, 7.0, 57), measured=measured)
+    assert np.isfinite(q).all() and q.min() >= 0.0 and q.max() <= 1.0 + 1e-15
 
 
 RHO_EVOLVED = evolve_analytic(P, tau_bar=0.7)

@@ -249,6 +249,13 @@ class TestBlockWriters:
             write(path, taus, {"g0": np.zeros(len(taus)), "j2": np.zeros(rows)})
         assert not path.exists()
 
+    @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5]], ids=["0 rows", "1 row", "equal ends"])
+    def test_an_svg_without_an_x_range_leaves_no_file(self, tmp_path, taus):
+        path = tmp_path / "out.svg"
+        with pytest.raises(InvalidConfig, match="two or more rows"):
+            write_svg(path, taus, {"g0": np.ones(len(taus))})
+        assert not path.exists()
+
     def test_writer_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
         peaks = {}
@@ -360,7 +367,7 @@ class TestPresetBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["fig1"], "200fa6873a2205c1e85db73b7685c8415e7345273e2e3f33a4cf438fafcbc26a"),
         (["fig2", "--points", "21"],
-         "117eba9122ac1bf354e21481c8c6a1947d234310887ac7856d37c83060864099"),
+         "64d00b71c1f919c81ef665eb5930027a113d7124c7efb192ba3a80b96e2456d9"),
     ], ids=["fig1", "fig2-21"])
     def test_digest(self, tmp_path, argv, digest):
         assert main([*argv, "--out", str(tmp_path / "preset")]) == 0
@@ -400,6 +407,13 @@ class TestCliProcess:
         data = read_csv(tmp_path / "f2.csv")
         assert data["discord"] is not None
         assert data["g0"] is None
+
+    def test_discord_column_takes_amplitudes_that_dimer_params_takes(self, tmp_path):
+        # |alpha|^2 + |beta|^2 = 1 + 1.6e-10 passes DimerParams (1e-9) but not the 4x4 trace
+        # rule (1e-12); the discord column, a closed form, takes it like the other columns
+        assert main(["sweep", "--alpha", "0.6", "--beta", "0.8000000001", "--quantities",
+                     "concurrence,discord", "--points", "5", "--out", str(tmp_path / "s")]) == 0
+        assert np.isfinite(read_csv(tmp_path / "s.csv")["discord"]).all()
 
     def test_state_subcommand(self, capsys):
         assert main(["state", "--alpha", "1", "--beta", "0", "--b", "10",
