@@ -5,19 +5,22 @@ one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
-The discord column is discord_curve's closed form, evaluated one block of
-_BLOCK_ROWS rows at a time into one preallocated column, so its
-temporaries stay one block long.
+run_sweep computes and writes one block of _BLOCK_ROWS rows at a time: it
+evaluates the requested closed forms (discord_curve's among them) on the
+block's slice of tau_bar, formats the block and writes it, so no requested
+column exists whole and tau_bar is the only array of 8 B per row. The SVG's
+y range is the blocks' minima and maxima, taken during the CSV pass (in a
+pass of its own for an SVG alone); each polyline is then written block by
+block, its closed form evaluated again (~0.2 us per row, against ~6 us to
+format the row). A 1e6-row sweep of all four quantities in both formats
+peaks ~11 MB above `state`'s ~31 MB.
 
-Both writers stream: they format one block of _BLOCK_ROWS rows at a time
-with one %-operation on a repeated line template (CSV cells are %r, i.e.
-repr; SVG polyline points are %.2f of the pixel coordinates, computed from
-that block's slices with the same floating-point expressions the axis ticks
-use) and write it before formatting the next. No Python code runs once per
-row or per point, and neither writer holds more than one block of text, so
-a sweep's memory is its float64 columns, 8 B per row each: a 1e6-row sweep
-of g0, j2 and concurrence peaks at ~80 MB RSS in every format, of which
-~31 MB is the interpreter and numpy. A column whose shape is not that of
+Each block is formatted by one %-operation on a repeated line template (CSV
+cells are %r, i.e. repr; SVG polyline points are %.2f of the pixel
+coordinates, computed from that block's slices with the same floating-point
+expressions the axis ticks use), so no Python code runs once per row or per
+point. write_csv and write_svg feed their arrays, one block slice at a
+time, to the same block writers. A column whose shape is not that of
 tau_bar raises InvalidConfig before the file is opened, as does an SVG of
 fewer than two rows or of equal first and last tau_bar, whose x axis has no
 length.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -116,35 +120,51 @@ def _names_a_file(path) -> bool:
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
-    """Compute the requested columns and write CSV and/or SVG; returns paths."""
+    """Compute the requested columns and write CSV and/or SVG, one block of rows at a
+    time; returns paths."""
     start, end = cfg.check()
     p = cfg.params()
     taus = np.linspace(start, end, cfg.points)
     want = set(cfg.quantities)
+    series = [q for q in QUANTITIES if q in want]
 
-    columns: dict[str, np.ndarray] = {}
-    if want & {"g0", "j2"}:
-        prof = analytic_intensities(p, tau_bar=taus)
-        if "g0" in want:
-            columns["g0"] = prof.g0
-        if "j2" in want:
-            columns.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
-    if "concurrence" in want:
-        columns["concurrence"] = concurrence_analytic(p, tau_bar=taus)
-    if "discord" in want:
-        columns["discord"] = q = np.empty_like(taus)
+    def columns(rows: slice, quantities: set) -> dict[str, np.ndarray]:
+        """The CSV columns of `quantities` on one block of rows."""
+        t = taus[rows]
+        cols = {}
+        if quantities & {"g0", "j2"}:
+            prof = analytic_intensities(p, tau_bar=t)
+            if "g0" in quantities:
+                cols["g0"] = prof.g0
+            if "j2" in quantities:
+                cols.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
+        if "concurrence" in quantities:
+            cols["concurrence"] = concurrence_analytic(p, tau_bar=t)
+        if "discord" in quantities:
+            cols["discord"] = discord_curve(p, tau_bar=t, measured=cfg.measured_subsystem)
+        return cols
+
+    extents = []  # (min, max) of each series on each block, for the SVG's y range
+
+    def blocks():
         for rows in _row_blocks(len(taus)):
-            q[rows] = discord_curve(p, tau_bar=taus[rows], measured=cfg.measured_subsystem)
+            cols = columns(rows, want)
+            extents.extend(_extent(cols[q]) for q in series)
+            yield {"tau_bar": taus[rows], **cols}
 
     base = Path(cfg.output_path)
     written: list[Path] = []
     if cfg.format in ("csv", "both"):
         csv_path = base.with_suffix(".csv")
-        write_csv(csv_path, taus, columns)
+        _write_csv(csv_path, blocks())
         written.append(csv_path)
     if cfg.format in ("svg", "both"):
+        if cfg.format == "svg":  # the y range needs every block before the first polyline
+            for _ in blocks():
+                pass
         svg_path = base.with_suffix(".svg")
-        write_svg(svg_path, taus, {q: columns[q] for q in QUANTITIES if q in columns})
+        _write_svg(svg_path, taus, extents,
+                   {q: lambda rows, q=q: columns(rows, {q})[q] for q in series})
         written.append(svg_path)
     return written
 
@@ -152,13 +172,19 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
 def write_csv(path, taus, columns: dict) -> None:
     """Write the CSV in blocks of rows; a None or missing column stays empty."""
     taus, cols = _float_columns(taus, {name: columns.get(name) for name in CSV_COLUMNS[1:]})
-    cols = [taus, *cols.values()]
-    line = ",".join("" if col is None else "%r" for col in cols) + "\n"
-    filled = [col for col in cols if col is not None]
+    filled = {"tau_bar": taus, **{name: col for name, col in cols.items() if col is not None}}
+    _write_csv(path, ({name: col[rows] for name, col in filled.items()}
+                      for rows in _row_blocks(len(taus))))
+
+
+def _write_csv(path, blocks) -> None:
+    """Write the header, then each block of rows: a dict of equal-length column slices
+    keyed by the CSV columns it fills, the same keys in every block."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(CSV_HEADER + "\n")
-        for rows in _row_blocks(len(taus)):
-            handle.write(_format_block(line, [col[rows] for col in filled]))
+        for cols in blocks:
+            line = ",".join("%r" if name in cols else "" for name in CSV_COLUMNS) + "\n"
+            handle.write(_format_block(line, [cols[name] for name in CSV_COLUMNS if name in cols]))
 
 
 def _float_columns(taus, columns: dict) -> tuple[np.ndarray, dict]:
@@ -186,40 +212,71 @@ def _format_block(line: str, cols: list[np.ndarray]) -> str:
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
-    """A sweep CSV's columns as arrays, absent ones as None; InvalidConfig for a non-finite cell."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidConfig(f"unexpected CSV header in {path}")
-    try:
-        cols = list(zip(*(line.split(",") for line in lines[1:]), strict=True))
-    except ValueError:
-        raise InvalidConfig(f"ragged rows in {path}") from None
-    cols = cols or [()] * len(CSV_COLUMNS)
-    if len(cols) != len(CSV_COLUMNS):
-        raise InvalidConfig(f"rows of {len(cols)} cells in {path}, expected {len(CSV_COLUMNS)}")
-    out: dict[str, np.ndarray | None] = {}
-    for name, col in zip(CSV_COLUMNS, cols):
-        try:
-            out[name] = None if "" in col else finite_array(np.array(col, dtype=float), name)
-        except (ValueError, InvalidParams):
-            raise InvalidConfig(f"non-numeric or non-finite cell in column {name} of {path}") from None
+    """A sweep CSV's columns as arrays, absent ones as None; InvalidConfig for a non-finite cell.
+
+    A first pass counts the rows, so each column is allocated once at its length; the
+    second reads _BLOCK_ROWS lines at a time and converts each block's cells with one
+    np.array call per column, so beyond the columns it holds one block of text. A column
+    with an empty cell in any row reads as None."""
+    with open(path, encoding="ascii", newline="") as handle:
+        # lines broken where str.splitlines breaks them, as when the text was read whole
+        count = sum(map(len, map(str.splitlines, handle))) - 1
+        handle.seek(0)
+        lines = chain.from_iterable(map(str.splitlines, handle))
+        if next(lines, None) != CSV_HEADER:
+            raise InvalidConfig(f"unexpected CSV header in {path}")
+        out: dict[str, np.ndarray | None] = {name: np.empty(count) for name in CSV_COLUMNS}
+        bad, width, start = set(), None, 0
+        while block := [line.split(",") for line in islice(lines, _BLOCK_ROWS)]:
+            width = width or len(block[0])
+            if set(map(len, block)) != {width}:
+                raise InvalidConfig(f"ragged rows in {path}")
+            rows = slice(start, start + len(block))
+            for name, col in zip(CSV_COLUMNS, zip(*block)):
+                if out[name] is None:
+                    continue
+                if "" in col:
+                    out[name] = None
+                elif name not in bad:
+                    try:
+                        out[name][rows] = finite_array(np.array(col, dtype=float), name)
+                    except (ValueError, InvalidParams):
+                        bad.add(name)
+            start = rows.stop
+    if width not in (None, len(CSV_COLUMNS)):
+        raise InvalidConfig(f"rows of {width} cells in {path}, expected {len(CSV_COLUMNS)}")
+    for name in CSV_COLUMNS:
+        if out[name] is not None and name in bad:
+            raise InvalidConfig(f"non-numeric or non-finite cell in column {name} of {path}")
     return out
 
 
 def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     """Minimal static line plot: axes, ticks, one polyline per series, legend."""
-    ml, mr, mt, mb = 72, 18, 18, 56
-    plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     taus, series = _float_columns(taus, series)
     if taus.ndim != 1 or len(taus) < 2 or taus[0] == taus[-1]:
         ends = f" from {float(taus.flat[0])!r} to {float(taus.flat[-1])!r}" if taus.size else ""
         raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
                             f"and last values, got {taus.size} rows{ends}")
+    _write_svg(path, taus, [_extent(v) for v in series.values()],
+               {name: values.__getitem__ for name, values in series.items()})
+
+
+def _extent(values: np.ndarray) -> tuple[float, float]:
+    return float(np.min(values)), float(np.max(values))
+
+
+def _write_svg(path, taus: np.ndarray, extents: list, polylines: dict) -> None:
+    """The SVG of two or more rows of taus with distinct ends. extents holds (min, max)
+    pairs that together span every series; polylines maps each series name, in plot
+    order, to a function that gives its values on one block of rows."""
+    ml, mr, mt, mb = 72, 18, 18, 56
+    plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     x_lo, x_hi = float(taus[0]), float(taus[-1])
 
-    if series:
-        y_lo = min(0.0, min(float(np.min(v)) for v in series.values()))
-        y_hi = max(float(np.max(v)) for v in series.values())
+    if extents:
+        y_lo = min(0.0, min(lo for lo, _ in extents))
+        y_hi = max(hi for _, hi in extents)
     else:
         y_lo, y_hi = 0.0, 1.0
     if y_hi - y_lo < 1e-12:
@@ -267,11 +324,11 @@ def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     n = len(taus)
     with open(path, "w", encoding="ascii") as handle:
         handle.writelines(part + "\n" for part in parts)
-        for idx, (name, values) in enumerate(series.items()):
+        for idx, (name, values) in enumerate(polylines.items()):
             color = _SVG_COLORS.get(name, "#333333")
             handle.write('<polyline points="')
             for rows in _row_blocks(n):
-                pts = _format_block("%.2f,%.2f ", [sx(taus[rows]), sy(values[rows])])
+                pts = _format_block("%.2f,%.2f ", [sx(taus[rows]), sy(values(rows))])
                 handle.write(pts if rows.stop < n else pts[:-1])
             ly = mt + 16 + 18 * idx
             handle.write(

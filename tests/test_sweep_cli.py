@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mqdimer import DimerParams, SweepConfig, analytic_intensities, concurrence_analytic, run_sweep
+from mqdimer import (DimerParams, SweepConfig, analytic_intensities, concurrence_analytic,
+                     discord_curve, run_sweep)
 from mqdimer.cli import _sweep_config, build_parser, format_state, main, parse_amplitude
 from mqdimer import sweep
 from mqdimer.errors import InvalidConfig
@@ -275,6 +276,60 @@ class TestBlockWriters:
             assert peaks[name, 32] <= 1.25 * peaks[name, 4], peaks
 
 
+def whole_columns(cfg):
+    """tau_bar and the requested CSV columns of a sweep, each closed form on every row at once."""
+    p = cfg.params()
+    taus = np.linspace(cfg.tau_bar_start, cfg.tau_bar_end, cfg.points)
+    prof = analytic_intensities(p, tau_bar=taus)
+    every = {"g0": prof.g0, "g2": prof.g_plus2, "gm2": prof.g_minus2, "j2": prof.j2,
+             "concurrence": concurrence_analytic(p, tau_bar=taus),
+             "discord": discord_curve(p, tau_bar=taus, measured=cfg.measured_subsystem)}
+    fills = {"g0": ("g0",), "j2": ("g2", "gm2", "j2"), "concurrence": ("concurrence",),
+             "discord": ("discord",)}
+    return taus, {name: every[name] for q in cfg.quantities for name in fills[q]}
+
+
+class TestSweepBlocks:
+    """run_sweep computes and writes block by block the bytes of its whole columns."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize("quantities, measured, fmt", [
+        (("g0", "j2", "concurrence", "discord"), 1, "both"),
+        (("discord", "g0"), 2, "both"),
+        (("j2", "discord"), 1, "svg"),
+        (("concurrence",), 2, "both"),
+    ], ids=["all spin 1", "discord spin 2", "svg alone", "concurrence"])
+    def test_bytes_match_whole_columns(self, tmp_path, n, quantities, measured, fmt):
+        cfg = SweepConfig(alpha=0.6, beta=0.8j, b=0.7, tau_bar_start=-0.4, tau_bar_end=5.1,
+                          points=n, quantities=quantities, measured_subsystem=measured,
+                          format=fmt, output_path=str(tmp_path / "sweep"))
+        paths = run_sweep(cfg)
+        taus, cols = whole_columns(cfg)
+        if fmt == "both":
+            ref_write_csv(tmp_path / "ref.csv", taus, cols)
+            assert paths[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        series = {q: cols[q] for q in ("g0", "j2", "concurrence", "discord") if q in cols}
+        svg = paths[-1].read_text()
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+        write_svg(tmp_path / "ref.svg", taus, series)
+        assert svg == (tmp_path / "ref.svg").read_text()
+
+    def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
+        # beyond tau_bar's 8 B per row, which run_sweep holds whole
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
+        peaks = {}
+        for blocks in (1, 4, 32):  # the 1-block pass only warms caches up
+            cfg = SweepConfig(points=256 * blocks, quantities=("g0", "j2", "concurrence", "discord"),
+                              format="both", output_path=str(tmp_path / "sweep"))
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] <= 1.25 * peaks[4] + 8 * 256 * (32 - 4), peaks
+
+
 class TestReadCsv:
     def test_header_only_gives_empty_columns(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -308,6 +363,50 @@ class TestReadCsv:
         path.write_text(CSV_HEADER.replace("g0", "g1") + "\n0.0,1.0,,,,,\n")
         with pytest.raises(InvalidConfig, match="unexpected CSV header"):
             read_csv(path)
+
+    @pytest.mark.parametrize("rows, outcome", [
+        (["0.0,1.0,,,,,", "0.5,1.0,,,,,", "1.0,1.0,,,,"], "ragged rows"),
+        (["0.0,one,,,,,", "0.5,1.0,,,,,", "1.0,1.0,,,"], "ragged rows"),
+        (["0.0,1.0,,,,,,", "0.5,1.0,,,,,,", "1.0,1.0,,,,,,"], "rows of 8 cells"),
+        (["0.0,1.0,,,,,", "0.5,1.0,,,,,", "1.0,inf,,,,,"], "non-finite cell in column g0 "),
+        (["0.0,1.0,,,,,", "0.5,1.0,,,,,", "1.0,,,,,,"], None),
+        (["0.0,one,,,,,", "0.5,1.0,,,,,", "1.0,,,,,,"], None),
+    ], ids=["ragged", "ragged before a word", "eight cells", "inf", "empty", "empty after a word"])
+    def test_a_later_block_reads_as_in_the_whole_file(self, tmp_path, monkeypatch, rows, outcome):
+        # the first fault of the whole file wins, and an empty cell anywhere makes a column None
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 2)
+        path = tmp_path / "blocks.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        if outcome:
+            with pytest.raises(InvalidConfig, match=outcome):
+                read_csv(path)
+        else:
+            cols = read_csv(path)
+            assert cols["g0"] is None and cols["tau_bar"].tolist() == [0.0, 0.5, 1.0]
+
+    def test_memory_grows_as_the_columns_and_the_round_trip_holds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
+        peaks, out_bytes = {}, {}
+        for blocks in (1, 4, 32):  # the 1-block pass only warms caches up
+            rng = np.random.default_rng(blocks)
+            taus = np.linspace(0.0, math.pi, 256 * blocks - 3)
+            cols = {name: mixed_floats(rng, len(taus)) for name in CSV_COLUMNS[1:]}
+            cols["gm2"] = None
+            write_csv(tmp_path / "in.csv", taus, cols)
+            tracemalloc.start()
+            try:
+                got = read_csv(tmp_path / "in.csv")
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out_bytes[blocks] = sum(col.nbytes for col in got.values() if col is not None)
+            assert got["gm2"] is None
+            assert got.pop("tau_bar").tobytes() == taus.tobytes()
+            assert all(got[name].tobytes() == cols[name].tobytes() for name in got if name != "gm2")
+            write_csv(tmp_path / "again.csv", taus, got)
+            assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
+        # one block: the text and cells of 256 rows
+        assert peaks[32] <= 2 * out_bytes[32] + peaks[1], (peaks, out_bytes)
 
 
 class TestParseAmplitude:
