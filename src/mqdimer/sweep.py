@@ -5,25 +5,27 @@ one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
-run_sweep computes and writes one block of _BLOCK_ROWS rows at a time: it
-evaluates the requested closed forms (discord_curve's among them) on the
-block's slice of tau_bar, formats the block and writes it, so no requested
-column exists whole and tau_bar is the only array of 8 B per row. The SVG's
-y range is the blocks' minima and maxima, taken during the CSV pass (in a
-pass of its own for an SVG alone); each polyline is then written block by
-block, its closed form evaluated again (~0.2 us per row, against ~6 us to
-format the row). A 1e6-row sweep of all four quantities in both formats
-peaks ~11 MB above `state`'s ~31 MB.
+Both block writers take (path, taus, names, block), where block(rows, names)
+gives the CSV columns of names on one _row_blocks slice of rows. run_sweep's
+block evaluates the requested closed forms (discord_curve's among them) on
+that slice of tau_bar, so no requested column exists whole and tau_bar is
+the only array of 8 B per row. The SVG writer takes its y range from the
+blocks' minima and maxima in a pass of its own, then writes each polyline
+block by block from block(rows, [name]): a sweep evaluates its closed forms
+once for the CSV, once for the y range and once per polyline (~0.2 us per
+row each, against ~6 us to format the row). A 1e6-row sweep of all four
+quantities in both formats peaks ~11 MB above `state`'s ~31 MB.
 
 Each block is formatted by one %-operation on a repeated line template (CSV
 cells are %r, i.e. repr; SVG polyline points are %.2f of the pixel
 coordinates, computed from that block's slices with the same floating-point
 expressions the axis ticks use), so no Python code runs once per row or per
-point. write_csv and write_svg feed their arrays, one block slice at a
-time, to the same block writers. A column whose shape is not that of
-tau_bar raises InvalidConfig before the file is opened, as does an SVG of
-fewer than two rows or of equal first and last tau_bar, whose x axis has no
-length.
+point. write_csv and write_svg pass the same block writers a slicer over
+their arrays. tau_bar must be 1-D and every column finite numbers of its
+shape (linalg.finite_array's rule), and write_csv takes only CSV column
+names; else InvalidConfig, naming the column, before the file is opened, as
+for an SVG of fewer than two rows or of equal first and last tau_bar, whose
+x axis has no length.
 """
 
 from __future__ import annotations
@@ -125,14 +127,13 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     start, end = cfg.check()
     p = cfg.params()
     taus = np.linspace(start, end, cfg.points)
-    want = set(cfg.quantities)
-    series = [q for q in QUANTITIES if q in want]
+    series = [q for q in QUANTITIES if q in cfg.quantities]
 
-    def columns(rows: slice, quantities: set) -> dict[str, np.ndarray]:
+    def block(rows: slice, quantities: list) -> dict[str, np.ndarray]:
         """The CSV columns of `quantities` on one block of rows."""
         t = taus[rows]
         cols = {}
-        if quantities & {"g0", "j2"}:
+        if "g0" in quantities or "j2" in quantities:
             prof = analytic_intensities(p, tau_bar=t)
             if "g0" in quantities:
                 cols["g0"] = prof.g0
@@ -144,60 +145,60 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
             cols["discord"] = discord_curve(p, tau_bar=t, measured=cfg.measured_subsystem)
         return cols
 
-    extents = []  # (min, max) of each series on each block, for the SVG's y range
-
-    def blocks():
-        for rows in _row_blocks(len(taus)):
-            cols = columns(rows, want)
-            extents.extend(_extent(cols[q]) for q in series)
-            yield {"tau_bar": taus[rows], **cols}
-
-    base = Path(cfg.output_path)
     written: list[Path] = []
-    if cfg.format in ("csv", "both"):
-        csv_path = base.with_suffix(".csv")
-        _write_csv(csv_path, blocks())
-        written.append(csv_path)
-    if cfg.format in ("svg", "both"):
-        if cfg.format == "svg":  # the y range needs every block before the first polyline
-            for _ in blocks():
-                pass
-        svg_path = base.with_suffix(".svg")
-        _write_svg(svg_path, taus, extents,
-                   {q: lambda rows, q=q: columns(rows, {q})[q] for q in series})
-        written.append(svg_path)
+    for fmt, write in (("csv", _write_csv), ("svg", _write_svg)):
+        if cfg.format in (fmt, "both"):
+            path = Path(cfg.output_path).with_suffix("." + fmt)
+            write(path, taus, series, block)
+            written.append(path)
     return written
 
 
 def write_csv(path, taus, columns: dict) -> None:
-    """Write the CSV in blocks of rows; a None or missing column stays empty."""
-    taus, cols = _float_columns(taus, {name: columns.get(name) for name in CSV_COLUMNS[1:]})
-    filled = {"tau_bar": taus, **{name: col for name, col in cols.items() if col is not None}}
-    _write_csv(path, ({name: col[rows] for name, col in filled.items()}
-                      for rows in _row_blocks(len(taus))))
+    """Write the CSV in blocks of rows; a None or missing column stays empty, and a key
+    that names no CSV column raises InvalidConfig."""
+    unknown = [name for name in columns if name not in CSV_COLUMNS[1:]]
+    if unknown:
+        raise InvalidConfig(f"unknown columns {unknown}; choose from {CSV_COLUMNS[1:]}")
+    taus, cols = _float_columns(taus, columns)
+    filled = {name: col for name, col in cols.items() if col is not None}
+    _write_csv(path, taus, list(filled), _slicer(filled))
 
 
-def _write_csv(path, blocks) -> None:
-    """Write the header, then each block of rows: a dict of equal-length column slices
-    keyed by the CSV columns it fills, the same keys in every block."""
+def _write_csv(path, taus: np.ndarray, names: list, block) -> None:
+    """Write the header, then each block of rows: tau_bar and the CSV columns that
+    block(rows, names) gives, the same columns in every block."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(CSV_HEADER + "\n")
-        for cols in blocks:
+        for rows in _row_blocks(len(taus)):
+            cols = {"tau_bar": taus[rows], **block(rows, names)}
             line = ",".join("%r" if name in cols else "" for name in CSV_COLUMNS) + "\n"
             handle.write(_format_block(line, [cols[name] for name in CSV_COLUMNS if name in cols]))
 
 
 def _float_columns(taus, columns: dict) -> tuple[np.ndarray, dict]:
-    """taus and each column as float arrays, None kept; InvalidConfig, naming the column,
-    for one whose shape is not that of taus, so a writer never opens its file for it."""
-    taus = np.asarray(taus, dtype=float)
-    cols = {name: None if col is None else np.asarray(col, dtype=float)
-            for name, col in columns.items()}
+    """taus, 1-D, and each column of its shape, as finite float arrays, None kept; else
+    InvalidConfig naming the column, so a writer never opens its file for it."""
+    def finite(col, name):
+        try:
+            return finite_array(col, name)
+        except InvalidParams as exc:
+            raise InvalidConfig(f"column {exc}") from exc
+
+    taus = finite(taus, "tau_bar")
+    if taus.ndim != 1:
+        raise InvalidConfig(f"column tau_bar must be 1-D, got shape {taus.shape}")
+    cols = {name: None if col is None else finite(col, name) for name, col in columns.items()}
     for name, col in cols.items():
         if col is not None and col.shape != taus.shape:
             raise InvalidConfig(f"column {name} has shape {col.shape}, "
                                 f"tau_bar has shape {taus.shape}")
     return taus, cols
+
+
+def _slicer(columns: dict):
+    """The block function of whole columns: the slices of `names` on one block of rows."""
+    return lambda rows, names: {name: columns[name][rows] for name in names}
 
 
 def _row_blocks(n: int):
@@ -226,12 +227,12 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
         if next(lines, None) != CSV_HEADER:
             raise InvalidConfig(f"unexpected CSV header in {path}")
         out: dict[str, np.ndarray | None] = {name: np.empty(count) for name in CSV_COLUMNS}
-        bad, width, start = set(), None, 0
-        while block := [line.split(",") for line in islice(lines, _BLOCK_ROWS)]:
+        bad, width = set(), None
+        for rows in _row_blocks(count):
+            block = [line.split(",") for line in islice(lines, _BLOCK_ROWS)]
             width = width or len(block[0])
             if set(map(len, block)) != {width}:
                 raise InvalidConfig(f"ragged rows in {path}")
-            rows = slice(start, start + len(block))
             for name, col in zip(CSV_COLUMNS, zip(*block)):
                 if out[name] is None:
                     continue
@@ -242,7 +243,6 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
                         out[name][rows] = finite_array(np.array(col, dtype=float), name)
                     except (ValueError, InvalidParams):
                         bad.add(name)
-            start = rows.stop
     if width not in (None, len(CSV_COLUMNS)):
         raise InvalidConfig(f"rows of {width} cells in {path}, expected {len(CSV_COLUMNS)}")
     for name in CSV_COLUMNS:
@@ -254,31 +254,27 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
 def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     """Minimal static line plot: axes, ticks, one polyline per series, legend."""
     taus, series = _float_columns(taus, series)
-    if taus.ndim != 1 or len(taus) < 2 or taus[0] == taus[-1]:
-        ends = f" from {float(taus.flat[0])!r} to {float(taus.flat[-1])!r}" if taus.size else ""
+    if len(taus) < 2 or taus[0] == taus[-1]:
+        ends = f" from {float(taus[0])!r} to {float(taus[-1])!r}" if len(taus) else ""
         raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
-                            f"and last values, got {taus.size} rows{ends}")
-    _write_svg(path, taus, [_extent(v) for v in series.values()],
-               {name: values.__getitem__ for name, values in series.items()})
+                            f"and last values, got {len(taus)} rows{ends}")
+    _write_svg(path, taus, list(series), _slicer(series))
 
 
-def _extent(values: np.ndarray) -> tuple[float, float]:
-    return float(np.min(values)), float(np.max(values))
-
-
-def _write_svg(path, taus: np.ndarray, extents: list, polylines: dict) -> None:
-    """The SVG of two or more rows of taus with distinct ends. extents holds (min, max)
-    pairs that together span every series; polylines maps each series name, in plot
-    order, to a function that gives its values on one block of rows."""
+def _write_svg(path, taus: np.ndarray, names: list, block) -> None:
+    """The SVG of two or more rows of taus with distinct ends: one polyline per series
+    of names, in plot order, whose values on one block of rows are block(rows, names)."""
     ml, mr, mt, mb = 72, 18, 18, 56
     plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     x_lo, x_hi = float(taus[0]), float(taus[-1])
+    n = len(taus)
 
-    if extents:
-        y_lo = min(0.0, min(lo for lo, _ in extents))
-        y_hi = max(hi for _, hi in extents)
-    else:
-        y_lo, y_hi = 0.0, 1.0
+    # the y range spans 0 and every series; with no series, y_hi - y_lo is -inf below
+    y_lo, y_hi = 0.0, -math.inf
+    for rows in _row_blocks(n):
+        cols = block(rows, names)
+        for name in names:
+            y_lo, y_hi = min(y_lo, float(np.min(cols[name]))), max(y_hi, float(np.max(cols[name])))
     if y_hi - y_lo < 1e-12:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -321,14 +317,14 @@ def _write_svg(path, taus: np.ndarray, extents: list, polylines: dict) -> None:
         f'text-anchor="middle" font-family="sans-serif">tau_bar</text>'
     )
 
-    n = len(taus)
     with open(path, "w", encoding="ascii") as handle:
         handle.writelines(part + "\n" for part in parts)
-        for idx, (name, values) in enumerate(polylines.items()):
+        for idx, name in enumerate(names):
             color = _SVG_COLORS.get(name, "#333333")
+            label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             handle.write('<polyline points="')
             for rows in _row_blocks(n):
-                pts = _format_block("%.2f,%.2f ", [sx(taus[rows]), sy(values(rows))])
+                pts = _format_block("%.2f,%.2f ", [sx(taus[rows]), sy(block(rows, [name])[name])])
                 handle.write(pts if rows.stop < n else pts[:-1])
             ly = mt + 16 + 18 * idx
             handle.write(
@@ -336,6 +332,6 @@ def _write_svg(path, taus: np.ndarray, extents: list, polylines: dict) -> None:
                 f'<line x1="{ml + plot_w - 130}" y1="{ly}" x2="{ml + plot_w - 105}" '
                 f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>\n'
                 f'<text x="{ml + plot_w - 100}" y="{ly + 4}" font-size="12" '
-                f'font-family="sans-serif">{name}</text>\n'
+                f'font-family="sans-serif">{label}</text>\n'
             )
         handle.write("</svg>\n")

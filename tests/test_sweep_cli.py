@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -190,6 +192,7 @@ class TestRunSweep:
         svg = svg_path.read_text()
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 3
+        ElementTree.parse(svg_path)
         for label in ("g0", "j2", "concurrence", "tau_bar"):
             assert label in svg
 
@@ -240,6 +243,7 @@ class TestBlockWriters:
         write_svg(tmp_path / "block.svg", taus, series)
         svg = (tmp_path / "block.svg").read_text()
         assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+        ElementTree.parse(tmp_path / "block.svg")
 
     @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 2], ids=["shorter", "longer"])
@@ -249,6 +253,36 @@ class TestBlockWriters:
         with pytest.raises(InvalidConfig, match="column j2 "):
             write(path, taus, {"g0": np.zeros(len(taus)), "j2": np.zeros(rows)})
         assert not path.exists()
+
+    @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
+    @pytest.mark.parametrize("taus, j2, match", [
+        (np.zeros((3, 2)), None, "column tau_bar must be 1-D"),
+        (np.float64(0.5), None, "column tau_bar must be 1-D"),
+        ([0.0, 1.0, np.inf], None, "column tau_bar must be finite"),
+        ([0.0, 1.0, 2.0], ["0.1", "0.2", "0.3"], "column j2 must be a number"),
+        ([0.0, 1.0, 2.0], [0.1, np.nan, 0.3], "column j2 must be finite"),
+        ([0.0, 1.0, 2.0], np.array([True, False, True]), "column j2 must be a number"),
+    ], ids=["2-D tau_bar", "0-d tau_bar", "inf tau_bar", "text", "nan", "bools"])
+    def test_a_column_outside_the_number_rule_leaves_no_file(self, tmp_path, write, taus, j2,
+                                                             match):
+        path = tmp_path / "out"
+        columns = {"g0": np.zeros(np.size(taus))} if j2 is None else {"j2": j2}
+        with pytest.raises(InvalidConfig, match=match):
+            write(path, taus, columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["concurence", "tau_bar", "G0"])
+    def test_a_column_name_outside_the_schema_leaves_no_file(self, tmp_path, name):
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidConfig, match=f"unknown columns \\['{name}'\\]"):
+            write_csv(path, [0.0, 1.0], {"g0": [1.0, 0.5], name: [0.25, 0.5]})
+        assert not path.exists()
+
+    def test_svg_legend_names_are_escaped(self, tmp_path):
+        names = ["a<b & c", "x > y", "&amp;"]
+        write_svg(tmp_path / "out.svg", [0.0, 1.0], {name: [0.0, 1.0] for name in names})
+        texts = ElementTree.parse(tmp_path / "out.svg").iter("{http://www.w3.org/2000/svg}text")
+        assert [text.text for text in texts][-3:] == names
 
     @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5]], ids=["0 rows", "1 row", "equal ends"])
     def test_an_svg_without_an_x_range_leaves_no_file(self, tmp_path, taus):
@@ -313,6 +347,27 @@ class TestSweepBlocks:
         assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
         write_svg(tmp_path / "ref.svg", taus, series)
         assert svg == (tmp_path / "ref.svg").read_text()
+        ElementTree.parse(paths[-1])
+
+    @pytest.mark.parametrize("fmt, per_block", [
+        ("csv", {"analytic_intensities": 1, "concurrence_analytic": 1, "discord_curve": 1}),
+        ("svg", {"analytic_intensities": 3, "concurrence_analytic": 2, "discord_curve": 2}),
+        ("both", {"analytic_intensities": 4, "concurrence_analytic": 3, "discord_curve": 3}),
+    ], ids=["csv", "svg", "both"])
+    def test_each_pass_evaluates_only_its_closed_forms(self, tmp_path, monkeypatch, fmt,
+                                                       per_block):
+        # per block: one pass for the CSV, one for the SVG's y range, and one per polyline
+        # that evaluates its own series only (g0 and j2 each take analytic_intensities)
+        monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
+        calls = collections.Counter()
+        for name in per_block:
+            def counted(*args, name=name, real=getattr(sweep, name), **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(sweep, name, counted)
+        run_sweep(SweepConfig(points=3 * 256 + 7, quantities=("g0", "j2", "concurrence", "discord"),
+                              format=fmt, output_path=str(tmp_path / "sweep")))
+        assert calls == {name: 4 * count for name, count in per_block.items()}
 
     def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
         # beyond tau_bar's 8 B per row, which run_sweep holds whole
@@ -596,6 +651,7 @@ class TestCliProcess:
         assert main(["sweep", "--points", "8", "--format", "svg",
                      "--out", str(tmp_path / "pic")]) == 0
         assert (tmp_path / "pic.svg").read_text().startswith("<svg")
+        ElementTree.parse(tmp_path / "pic.svg")
 
     def test_every_sweep_flag_sets_its_field(self):
         args = build_parser().parse_args([
