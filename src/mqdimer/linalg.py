@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .errors import BadSubsystemId, InvalidParams, NotAState, NotHermitian
@@ -74,7 +76,7 @@ def _integer(x, allowed, name: str, error) -> int:
     """x as an int if an int or numpy integer, not a bool, in `allowed` (a run); else error."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and int(x) in allowed:
         return int(x)
-    raise error(f"{name} must be an integer in {allowed[0]}..{allowed[-1]}, got {x!r}")
+    raise error(f"{name} must be an integer in {allowed[0]}..{allowed[-1]}, got {_shown(x)}")
 
 
 #: what numpy would read as a number but is not one: a bool, text or None; for a real, a complex
@@ -85,8 +87,8 @@ _NOT_KINDS = {complex: "bSU", float: "bSUc"}
 
 def _numbers(x, dtype, error, what: str) -> np.ndarray:
     """x as an ndarray of dtype float or complex, the one conversion of outside numbers;
-    error(f"{what}, got {x!r}") if x is or holds one of _NOT_NUMBERS, or numpy cannot convert
-    it (ragged nesting, an int beyond float range)."""
+    error(f"{what}, got {_shown(x)}") if x is or holds one of _NOT_NUMBERS, or numpy
+    cannot convert it (ragged nesting, an int beyond float range)."""
     try:
         if isinstance(x, np.ndarray) and x.dtype != object:
             numbers = x.dtype.kind not in _NOT_KINDS[dtype]
@@ -96,14 +98,20 @@ def _numbers(x, dtype, error, what: str) -> np.ndarray:
             return np.asarray(x, dtype)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{what}, got {x!r}")
+    raise error(f"{what}, got {_shown(x)}")
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message; past 200 characters, reprlib's abbreviation cut to 200."""
+    text = repr(x)
+    return text if len(text) <= 200 else reprlib.repr(x)[:200]
 
 
 def _number(x, name: str, kind=float):
     """x as one Python float (or complex); anything else, a bool, text or None too: InvalidParams."""
     number = _numbers(x, kind, InvalidParams, f"{name} must be a number")
     if number.ndim:
-        raise InvalidParams(f"{name} must be a number, got {x!r}")
+        raise InvalidParams(f"{name} must be a number, got {_shown(x)}")
     return kind(number)
 
 

@@ -13,23 +13,41 @@ the only array of 8 B per row. The SVG writer takes its y range from the
 blocks' minima and maxima in a pass of its own, then writes each polyline
 block by block from block(rows, [name]): a sweep evaluates its closed forms
 once for the CSV, once for the y range and once per polyline (~0.2 us per
-row each, against ~6 us to format the row). A 1e6-row sweep of all four
-quantities in both formats peaks ~11 MB above `state`'s ~31 MB.
+row each, against ~2 us to format a row of six cells). A 1e6-row sweep of
+all four quantities in both formats peaks ~11 MB above `state`'s ~31 MB.
 
-Each block is formatted by one %-operation on a repeated line template (CSV
-cells are %r, i.e. repr; SVG polyline points are %.2f of the pixel
-coordinates, computed from that block's slices with the same floating-point
-expressions the axis ticks use), so no Python code runs once per row or per
-point. write_csv and write_svg pass the same block writers a slicer over
-their arrays. tau_bar must be 1-D and every column finite numbers of its
+Each block's text is a uint8 table built by numpy arithmetic, its zero bytes
+(padding) dropped by one compress, so no Python code runs once per cell or
+per point. A CSV cell is repr of the float: _repr_cells converts each
+distinct column of a block once (run_sweep's g2 and gm2 are one array). For
+1e-4 <= |x| < 1e16, y = |x| 10**(16-e) with 10**e <= |x| < 10**(e+1) is one
+rounding of an exact product in np.longdouble, so within 1e17 2**-64 <
+0.0055 of its exact value. The shortest digits are y rounded to a multiple
+of 10**cut for the largest cut (0, 1 or 2: 17, 16 or 15 digits) that lands
+within y / (2 mantissa) of y, the half-width of the interval that rounds to
+x, and are laid out in groups of rows with one decimal-point position. A
+decision within _DIGIT_TOL of its boundary, 14 or fewer digits (powers of
+two among them), zero, tiny and huge values and integers take repr, batched
+per block (about 4 % of sweep values), and so does every value where
+np.longdouble has fewer than 64 significant bits.
+
+SVG polyline points are %.2f of the pixel coordinates, computed from the
+block's slices with the same floating-point expressions the axis ticks use:
+rint of the exact 100 x in np.longdouble, half to even as %.2f; a block with
+a negative, non-finite or huge coordinate takes one %-operation instead.
+
+write_csv and write_svg pass the same block writers a slicer over their
+arrays. tau_bar must be 1-D and every column finite numbers of its
 shape (linalg.finite_array's rule), and write_csv takes only CSV column
 names; else InvalidConfig, naming the column, before the file is opened, as
 for an SVG of fewer than two rows or of equal first and last tau_bar, whose
-x axis has no length.
+x axis has no length. Legend names are escaped for XML, non-ASCII ones as
+character references.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -49,6 +67,10 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 QUANTITIES = ("g0", "j2", "concurrence", "discord")
 MAX_POINTS = 10**6
 _BLOCK_ROWS = 4096
+_CELL = 24  # bytes of the longest repr of a float
+_TEXT_ROWS = 1024  # CSV table rows made text at once: its copies stay a quarter block
+_SLOW = 40  # _repr_cells' group of the values that take repr
+_DIGIT_TOL = 0.02  # _repr_cells: a decision this near its boundary takes repr
 SVG_WIDTH, SVG_HEIGHT = 880, 560
 
 _SVG_COLORS = {
@@ -170,10 +192,32 @@ def _write_csv(path, taus: np.ndarray, names: list, block) -> None:
     block(rows, names) gives, the same columns in every block."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(CSV_HEADER + "\n")
+        table = None
         for rows in _row_blocks(len(taus)):
             cols = {"tau_bar": taus[rows], **block(rows, names)}
-            line = ",".join("%r" if name in cols else "" for name in CSV_COLUMNS) + "\n"
-            handle.write(_format_block(line, [cols[name] for name in CSV_COLUMNS if name in cols]))
+            if table is None:
+                table, slots = _csv_table(cols, min(_BLOCK_ROWS, len(taus)))
+            lines = table[:len(cols["tau_bar"])]
+            first = {}
+            for name, slot in slots.items():
+                col = cols[name]
+                if id(col) in first:  # run_sweep's g2 and gm2 are one array, converted once
+                    lines[:, slot] = lines[:, first[id(col)]]
+                else:
+                    _repr_cells(col, lines[:, slot])
+                    first[id(col)] = slot
+            for start in range(0, len(lines), _TEXT_ROWS):
+                handle.write(_text(lines[start:start + _TEXT_ROWS]))
+
+
+def _csv_table(cols: dict, rows: int) -> tuple[np.ndarray, dict]:
+    """A table of `rows` CSV lines, separators in place, and its _CELL-byte slot of each
+    column of cols."""
+    ends = np.cumsum([_CELL * (name in cols) + 1 for name in CSV_COLUMNS])
+    table = np.empty((rows, ends[-1]), np.uint8)
+    table[:, ends - 1] = np.frombuffer(b"," * (len(ends) - 1) + b"\n", np.uint8)
+    return table, {name: slice(end - 1 - _CELL, end - 1)
+                   for name, end in zip(CSV_COLUMNS, ends) if name in cols}
 
 
 def _float_columns(taus, columns: dict) -> tuple[np.ndarray, dict]:
@@ -210,6 +254,116 @@ def _format_block(line: str, cols: list[np.ndarray]) -> str:
     """line % row for each row of one block's equal-length 1-D column slices."""
     block = np.column_stack(cols)
     return line * len(block) % tuple(block.ravel().tolist())
+
+
+def _text(table: np.ndarray) -> str:
+    """The text of a C-contiguous uint8 table of ASCII, its zero bytes (padding) left out."""
+    flat = table.ravel()
+    return str(flat[flat != 0], "ascii")
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """_format_block("%.2f,%.2f ", [x, y]), by array arithmetic where every coordinate is
+    finite, at least +0.0 and below 2**52 / 100, so that 100 x is exact in np.longdouble."""
+    if not (_long_double_exact()
+            and all(not np.signbit(c).any() and (c < 2**52 / 100).all() for c in (x, y))):
+        return _format_block("%.2f,%.2f ", [x, y])
+    sep = np.full((len(x), 1), ord(","), np.uint8)
+    return _text(np.hstack([_cents_cells(x), sep, _cents_cells(y), np.full_like(sep, ord(" "))]))
+
+
+def _cents_cells(v: np.ndarray) -> np.ndarray:
+    """%.2f of each x of v (as _points takes them) as ASCII rows of one width, right-aligned
+    after zero bytes: np.rint rounds the exact 100 x half to even, as %.2f does."""
+    k = np.rint(v.astype(np.longdouble) * 100).astype(np.int64)
+    width = len(str(int(k.max()) // 100)) + 3
+    cells = np.full((len(v), width), ord("."), np.uint8)
+    for j in (width - 1, width - 2, *range(width - 4, -1, -1)):
+        cells[:, j] = k % 10 + ord("0")
+        if j < width - 4:
+            cells[:, j] *= k > 0  # a leading zero
+        k //= 10
+    return cells
+
+
+def _long_double_exact() -> bool:
+    """Whether np.longdouble has the 64-bit significand that the kernels' error bounds need."""
+    return np.finfo(np.longdouble).nmant >= 63
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of 0000..9999 as uint32, then again with trailing "0"s as zero bytes; and
+    10**0..10**20, exact in np.longdouble."""
+    ascii4 = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):
+        ascii4[..., j] = np.arange(ord("0"), ord("9") + 1).reshape([-1] + [1] * (3 - j))
+    ascii4[1, :, :, :, 0, 3:] = ascii4[1, :, :, 0, 0, 2:] = ascii4[1, :, 0, 0, 0, 1:] = 0
+    ascii4[1, 0, 0, 0, 0] = 0
+    pow10 = np.array([float(10**k) for k in range(21)], np.longdouble)
+    return ascii4.view(np.uint32).ravel(), pow10
+
+
+def _repr_cells(v: np.ndarray, out: np.ndarray) -> None:
+    """Write repr(float(x)) of each x of the 1-D float64 v into the rows of out, a (len(v),
+    _CELL) uint8 array, as ASCII padded with zero bytes (the method: module docstring)."""
+    a = np.abs(v)
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16)) if _long_double_exact() else np.arange(0)
+    digits, exp10, slow = _shortest_digits(a[fast])
+    fast, point, digits = fast[~slow], exp10[~slow] + 1, digits[~slow]
+
+    # rows grouped by the digits before the point (-3..16) and sign, the rest last
+    group = np.full(len(v), _SLOW, np.int8)
+    group[fast] = 2 * (point + 3) + (v[fast] < 0)
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(_SLOW + 2))
+    q = np.zeros(len(v), np.int64)
+    q[fast] = digits
+    q = q[order[:bounds[_SLOW]]]
+    chunks = np.empty((len(q), 5), np.int64)
+    for j in (4, 3, 2, 1):
+        q, chunks[:, j] = np.divmod(q, 10000)
+    chunks[:, 0] = q
+    chunks[:, 4] += 10000  # the cut digits (cut < 3) are the trailing "0"s of the last chunk
+    text = _digit_tables()[0].take(chunks).view(np.uint8)  # "000" and the 17 digits
+    cells = np.zeros((len(v), _CELL), np.uint8)
+    for g in np.flatnonzero(np.diff(bounds[:_SLOW + 1])):
+        c, d = cells[bounds[g]:bounds[g + 1]], text[bounds[g]:bounds[g + 1]]
+        point, sign = g // 2 - 3, g % 2
+        head = max(point, 1)  # "0" before the point if no digit is
+        if sign:
+            c[:, 0] = ord("-")
+        c[:, sign:sign + head] = d[:, 3:3 + point] if point > 0 else ord("0")
+        c[:, sign + head] = ord(".")
+        c[:, sign + head + 1:sign + head + 18 - point] = d[:, 3 + point:]
+    rest = [repr(x) for x in v[order[bounds[_SLOW]:]].tolist()]
+    cells[bounds[_SLOW]:] = np.array(rest, f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    out[order] = cells
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each a from 1e-4 to 1e16, its shortest round-trip digits as a 17-digit integer,
+    e with 10**e <= a < 10**(e+1), and whether a takes repr instead."""
+    mant = (np.frexp(a)[0] * 2.0**53).astype(np.int64)
+    exp10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)  # checked by y below
+    y = a.astype(np.longdouble) * _digit_tables()[1].take(16 - exp10)
+    whole = y.astype(np.int64)
+    frac = (y - whole).astype(np.float64)
+    half = whole / mant / 2
+    s = np.array([[10], [100], [1000]])
+    lo = whole % s + frac  # from y down and up to the multiples of s around it, exact
+    hi = s - lo
+    tie16 = np.abs(lo[0] - hi[0]) <= 2 * _DIGIT_TOL  # two 16-digit candidates as near
+    dist = np.minimum(lo, hi, out=lo)
+    cut = (dist < half).sum(axis=0)
+    unit = 10**cut
+    r = whole % unit
+    digits = whole - r + unit * (r + frac > unit / 2)
+    # a power of two, whose interval is narrower below, is here an integer or of <= 10 digits
+    slow = ((np.abs(dist - half) <= _DIGIT_TOL).any(axis=0) | (cut == 3) | (cut == 1) & tie16
+            | (cut == 0) & (np.abs(frac - 0.5) <= _DIGIT_TOL)
+            | (whole < 10**16) | (digits >= 10**17) | (np.trunc(a) == a))
+    return digits, exp10, slow
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
@@ -322,9 +476,10 @@ def _write_svg(path, taus: np.ndarray, names: list, block) -> None:
         for idx, name in enumerate(names):
             color = _SVG_COLORS.get(name, "#333333")
             label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            label = label.encode("ascii", "xmlcharrefreplace").decode("ascii")
             handle.write('<polyline points="')
             for rows in _row_blocks(n):
-                pts = _format_block("%.2f,%.2f ", [sx(taus[rows]), sy(block(rows, [name])[name])])
+                pts = _points(sx(taus[rows]), sy(block(rows, [name])[name]))
                 handle.write(pts if rows.stop < n else pts[:-1])
             ly = mt + 16 + 18 * idx
             handle.write(

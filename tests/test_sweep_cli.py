@@ -6,10 +6,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mqdimer import (DimerParams, SweepConfig, analytic_intensities, concurrence_analytic,
@@ -262,14 +265,16 @@ class TestBlockWriters:
         ([0.0, 1.0, 2.0], ["0.1", "0.2", "0.3"], "column j2 must be a number"),
         ([0.0, 1.0, 2.0], [0.1, np.nan, 0.3], "column j2 must be finite"),
         ([0.0, 1.0, 2.0], np.array([True, False, True]), "column j2 must be a number"),
-    ], ids=["2-D tau_bar", "0-d tau_bar", "inf tau_bar", "text", "nan", "bools"])
+        (range(100000), [0.5] * 99999 + ["x"], "column j2 must be a number"),
+    ], ids=["2-D tau_bar", "0-d tau_bar", "inf tau_bar", "text", "nan", "bools", "long text"])
     def test_a_column_outside_the_number_rule_leaves_no_file(self, tmp_path, write, taus, j2,
                                                              match):
         path = tmp_path / "out"
         columns = {"g0": np.zeros(np.size(taus))} if j2 is None else {"j2": j2}
-        with pytest.raises(InvalidConfig, match=match):
+        with pytest.raises(InvalidConfig, match=match) as exc:
             write(path, taus, columns)
         assert not path.exists()
+        assert len(str(exc.value).partition(", got ")[2]) <= 200  # the input shown, cut
 
     @pytest.mark.parametrize("name", ["concurence", "tau_bar", "G0"])
     def test_a_column_name_outside_the_schema_leaves_no_file(self, tmp_path, name):
@@ -279,10 +284,10 @@ class TestBlockWriters:
         assert not path.exists()
 
     def test_svg_legend_names_are_escaped(self, tmp_path):
-        names = ["a<b & c", "x > y", "&amp;"]
+        names = ["a<b & c", "x > y", "&amp;", "τ"]
         write_svg(tmp_path / "out.svg", [0.0, 1.0], {name: [0.0, 1.0] for name in names})
         texts = ElementTree.parse(tmp_path / "out.svg").iter("{http://www.w3.org/2000/svg}text")
-        assert [text.text for text in texts][-3:] == names
+        assert [text.text for text in texts][-4:] == names
 
     @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5]], ids=["0 rows", "1 row", "equal ends"])
     def test_an_svg_without_an_x_range_leaves_no_file(self, tmp_path, taus):
@@ -308,6 +313,99 @@ class TestBlockWriters:
                     tracemalloc.stop()
         for name in ("write_csv", "write_svg"):
             assert peaks[name, 32] <= 1.25 * peaks[name, 4], peaks
+
+
+def repr_rows(v):
+    """repr of each value of v as ASCII rows padded with zero bytes, as the kernel writes them."""
+    return np.array([repr(x) for x in v.tolist()], "S24").view(np.uint8).reshape(-1, 24)
+
+
+def kernel_rows(v):
+    out = np.zeros((len(v), 24), np.uint8)
+    sweep._repr_cells(v, out)
+    return out
+
+
+#: either side of each edge of the CSV kernel's fast class, and values it leaves to repr
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, 2.0**53, 3.0, 0.5, 0.1, 1e22,
+               1.7976931348623157e308]
+FLOATS = st.builds(lambda x, negative: -x if negative else x, st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-5, 1e17),
+    st.sampled_from(EDGE_FLOATS + [math.nextafter(x, 0.0) for x in EDGE_FLOATS]
+                    + [math.nextafter(x, math.inf) for x in EDGE_FLOATS[:-1]]),
+    st.integers(-1074, 1023).map(lambda k: 2.0**k),
+    st.integers(-(2**53), 2**53).map(float),
+    st.builds(round, st.floats(-1e6, 1e6), st.integers(0, 8)),
+), st.booleans())
+
+
+class TestCellKernels:
+    """The array kernels give the bytes of repr and of %.2f, and fall back to them."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(FLOATS, min_size=1, max_size=64))
+    def test_csv_cells_equal_repr(self, values):
+        v = np.array(values)
+        assert (kernel_rows(v) == repr_rows(v)).all()
+
+    def test_csv_cells_equal_repr_across_exponents(self):
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        v = np.concatenate([
+            mixed_floats(rng, n // 4),
+            rng.standard_normal(n // 4) * 10.0 ** rng.integers(-6, 18, n // 4),
+            np.sin(np.linspace(-9.0, 9.0, n // 4)) ** 2 * rng.choice([1.0, -3.7, 250.0], n // 4),
+            rng.integers(-(2**63), 2**63, n // 4, dtype=np.int64).view(np.float64),
+        ])
+        v = v[np.isfinite(v)]
+        for rows in range(0, len(v), _BLOCK_ROWS):
+            block = v[rows:rows + _BLOCK_ROWS]
+            assert (kernel_rows(block) == repr_rows(block)).all(), rows
+
+    def test_powers_of_ten_and_digits_are_exact(self):
+        ascii4, pow10 = sweep._digit_tables()
+        exact = [Fraction(10)**k for k in range(21)]
+        assert [Fraction(*x.as_integer_ratio()) for x in pow10] == exact
+        table = ascii4.view(np.uint8).reshape(2, 10000, 4)
+        assert [row.tobytes() for row in table[0]] == [b"%04d" % i for i in range(10000)]
+        assert [row.tobytes() for row in table[1]] == [(b"%04d" % i).rstrip(b"0").ljust(4, b"\0")
+                                                       for i in range(10000)]
+
+    @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
+    def test_a_narrow_long_double_writes_the_same_bytes(self, tmp_path, monkeypatch, write):
+        rng = np.random.default_rng(7)
+        n = _BLOCK_ROWS + 5
+        taus = np.linspace(0.0, 3.0, n)
+        columns = {"g0": mixed_floats(rng, n) if write is write_csv else rng.uniform(0.0, 1.0, n),
+                   "j2": np.sin(taus) ** 2}
+        write(tmp_path / "wide", taus, columns)
+        monkeypatch.setattr(sweep, "_long_double_exact", lambda: False)
+        write(tmp_path / "narrow", taus, columns)
+        assert (tmp_path / "wide").read_bytes() == (tmp_path / "narrow").read_bytes()
+
+    @pytest.mark.parametrize("x, y", [
+        (np.arange(8 * 900) / 8, np.arange(8 * 900)[::-1] / 8),
+        (np.linspace(0.0, 2**52 / 100, 999, endpoint=False), np.full(999, 1e-3)),
+        (np.random.default_rng(3).uniform(0.0, 900.0, 5000), np.linspace(18.0, 522.0, 5000)),
+        (np.array([0.0, 0.005, 0.015, 1.005, 2.675, 0.125]),
+         np.array([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0])),
+        (np.array([1.0, -0.001]), np.array([1.0, 2.0])),
+        (np.array([1.0, np.nan]), np.array([np.inf, 2.0])),
+    ], ids=["eighths", "up to 2**52 / 100", "random", "ties and -0.0", "negative", "not finite"])
+    def test_svg_points_equal_format_block(self, x, y):
+        assert sweep._points(x, y) == sweep._format_block("%.2f,%.2f ", [x, y])
+
+    @pytest.mark.parametrize("taus, series", [
+        (np.linspace(3.0, -1.0, 9), {"g0": np.linspace(0.0, 1.0, 9)}),
+        (np.linspace(0.0, 1.0, 5), {"g0": np.array([-1e308, 0.0, 1e308, 1.0, 0.5])}),
+        (np.linspace(0.0, 790.0 / 8, 81), {"j2": np.arange(81) / 64.0}),
+    ], ids=["decreasing tau_bar", "nan y range", "ties"])
+    def test_svg_polylines_at_the_kernel_edges_match_reference(self, tmp_path, taus, series):
+        with np.errstate(over="ignore", invalid="ignore"):
+            write_svg(tmp_path / "out.svg", taus, series)
+            ref = ref_polyline_points(taus, series)
+        assert re.findall(r'<polyline points="([^"]*)"', (tmp_path / "out.svg").read_text()) == ref
 
 
 def whole_columns(cfg):
