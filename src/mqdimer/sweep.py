@@ -5,21 +5,17 @@ one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
-Both block writers take (path, taus, names, block), where block(rows, names)
-gives the CSV columns of names on one _row_blocks slice of rows. run_sweep's
-block evaluates the requested closed forms (discord_curve's among them) on
-that slice of tau_bar, so no requested column exists whole and tau_bar is
-the only array of 8 B per row. The SVG writer takes its y range from the
-blocks' minima and maxima in a pass of its own, then writes each polyline
-block by block from block(rows, [name]): a sweep evaluates its closed forms
-once for the CSV, once for the y range and once per polyline (~0.2 us per
-row each, against ~2 us to format a row of six cells). A 1e6-row sweep of
-all four quantities in both formats peaks ~11 MB above `state`'s ~31 MB.
+run_sweep makes one pass over _row_blocks slices of tau_bar, evaluating each
+requested closed form (discord_curve's among them) once per block for the CSV
+and the SVG, so tau_bar is the only array of 8 B per row. The SVG keeps the
+M4 points of each series (Jugel et al., PVLDB 7(10), 797, 2014), which draw
+like every row at its pixel width: at most 4 per pixel column, and every row
+where a column holds at most two (a linspace of up to 1580 rows).
 
-Each block's text is a uint8 table built by numpy arithmetic, its zero bytes
-(padding) dropped by one compress, so no Python code runs once per cell or
-per point. A CSV cell is repr of the float: _repr_cells converts each
-distinct column of a block once (run_sweep's g2 and gm2 are one array). For
+Each block's CSV text is a uint8 table built by numpy arithmetic, its zero
+bytes (padding) dropped by one compress, so no Python code runs once per
+cell. A cell is repr of the float: _repr_cells converts each distinct
+column of a block once (run_sweep's g2 and gm2 are one array). For
 1e-4 <= |x| < 1e16, y = |x| 10**(16-e) with 10**e <= |x| < 10**(e+1) is one
 rounding of an exact product in np.longdouble, so within 1e17 2**-64 <
 0.0055 of its exact value. The shortest digits are y rounded to a multiple
@@ -31,18 +27,13 @@ two among them), zero, tiny and huge values and integers take repr, batched
 per block (about 4 % of sweep values), and so does every value where
 np.longdouble has fewer than 64 significant bits.
 
-SVG polyline points are %.2f of the pixel coordinates, computed from the
-block's slices with the same floating-point expressions the axis ticks use:
-rint of the exact 100 x in np.longdouble, half to even as %.2f; a block with
-a negative, non-finite or huge coordinate takes one %-operation instead.
-
-write_csv and write_svg pass the same block writers a slicer over their
-arrays. tau_bar must be 1-D and every column finite numbers of its
-shape (linalg.finite_array's rule), and write_csv takes only CSV column
-names; else InvalidConfig, naming the column, before the file is opened, as
-for an SVG of fewer than two rows or of equal first and last tau_bar, whose
-x axis has no length. Legend names are escaped for XML, non-ASCII ones as
-character references.
+write_csv and write_svg slice their arrays into the same blocks. tau_bar
+must be 1-D and every column finite numbers of its shape
+(linalg.finite_array's rule), and write_csv takes only CSV column names;
+else InvalidConfig, naming the column, before the file is opened, as for
+an SVG of fewer than two rows, of equal first and last tau_bar, whose x
+axis has no length, or of a y range wider than a float. Legend names are
+escaped for XML, non-ASCII ones as character references.
 """
 
 from __future__ import annotations
@@ -72,6 +63,8 @@ _TEXT_ROWS = 1024  # CSV table rows made text at once: its copies stay a quarter
 _SLOW = 40  # _repr_cells' group of the values that take repr
 _DIGIT_TOL = 0.02  # _repr_cells: a decision this near its boundary takes repr
 SVG_WIDTH, SVG_HEIGHT = 880, 560
+_SVG_LEFT, _SVG_TOP = 72, 18  # the plot box's margins; 18 px on the right, 56 below
+_PLOT_W, _PLOT_H = SVG_WIDTH - _SVG_LEFT - 18, SVG_HEIGHT - _SVG_TOP - 56
 
 _SVG_COLORS = {
     "g0": "#1f77b4",
@@ -144,36 +137,44 @@ def _names_a_file(path) -> bool:
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
-    """Compute the requested columns and write CSV and/or SVG, one block of rows at a
-    time; returns paths."""
+    """Compute the requested columns one block of rows at a time, each closed form once
+    per block, and write CSV and/or SVG; returns paths."""
     start, end = cfg.check()
     p = cfg.params()
     taus = np.linspace(start, end, cfg.points)
     series = [q for q in QUANTITIES if q in cfg.quantities]
+    paths = [Path(cfg.output_path).with_suffix("." + fmt)
+             for fmt in ("csv", "svg") if cfg.format in (fmt, "both")]
+    kept = [(taus[:0], taus[:0])] * len(series)
 
-    def block(rows: slice, quantities: list) -> dict[str, np.ndarray]:
-        """The CSV columns of `quantities` on one block of rows."""
-        t = taus[rows]
-        cols = {}
-        if "g0" in quantities or "j2" in quantities:
-            prof = analytic_intensities(p, tau_bar=t)
-            if "g0" in quantities:
-                cols["g0"] = prof.g0
-            if "j2" in quantities:
-                cols.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
-        if "concurrence" in quantities:
-            cols["concurrence"] = concurrence_analytic(p, tau_bar=t)
-        if "discord" in quantities:
-            cols["discord"] = discord_curve(p, tau_bar=t, measured=cfg.measured_subsystem)
-        return cols
+    def blocks():
+        """The CSV columns of each block of rows, its series folded into kept for an SVG."""
+        nonlocal kept
+        for rows in _row_blocks(len(taus)):
+            t = taus[rows]
+            cols = {"tau_bar": t}
+            if "g0" in series or "j2" in series:
+                prof = analytic_intensities(p, tau_bar=t)
+                if "g0" in series:
+                    cols["g0"] = prof.g0
+                if "j2" in series:
+                    cols.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
+            if "concurrence" in series:
+                cols["concurrence"] = concurrence_analytic(p, tau_bar=t)
+            if "discord" in series:
+                cols["discord"] = discord_curve(p, tau_bar=t, measured=cfg.measured_subsystem)
+            if cfg.format != "csv":
+                kept = _m4_fold(kept, taus, rows, [cols[q] for q in series])
+            yield cols
 
-    written: list[Path] = []
-    for fmt, write in (("csv", _write_csv), ("svg", _write_svg)):
-        if cfg.format in (fmt, "both"):
-            path = Path(cfg.output_path).with_suffix("." + fmt)
-            write(path, taus, series, block)
-            written.append(path)
-    return written
+    if cfg.format == "svg":
+        for _ in blocks():
+            pass
+    else:
+        _write_csv(paths[0], blocks())
+    if cfg.format != "csv":
+        _write_svg(paths[-1], series, taus, kept)
+    return paths
 
 
 def write_csv(path, taus, columns: dict) -> None:
@@ -183,20 +184,20 @@ def write_csv(path, taus, columns: dict) -> None:
     if unknown:
         raise InvalidConfig(f"unknown columns {unknown}; choose from {CSV_COLUMNS[1:]}")
     taus, cols = _float_columns(taus, columns)
-    filled = {name: col for name, col in cols.items() if col is not None}
-    _write_csv(path, taus, list(filled), _slicer(filled))
+    whole = {"tau_bar": taus, **{name: col for name, col in cols.items() if col is not None}}
+    _write_csv(path, ({name: col[rows] for name, col in whole.items()}
+                      for rows in _row_blocks(len(taus))))
 
 
-def _write_csv(path, taus: np.ndarray, names: list, block) -> None:
-    """Write the header, then each block of rows: tau_bar and the CSV columns that
-    block(rows, names) gives, the same columns in every block."""
+def _write_csv(path, blocks) -> None:
+    """Write the header, then each block of rows of blocks, dicts of tau_bar and CSV
+    columns, the same columns in every block and no block longer than the first."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(CSV_HEADER + "\n")
         table = None
-        for rows in _row_blocks(len(taus)):
-            cols = {"tau_bar": taus[rows], **block(rows, names)}
+        for cols in blocks:
             if table is None:
-                table, slots = _csv_table(cols, min(_BLOCK_ROWS, len(taus)))
+                table, slots = _csv_table(cols, len(cols["tau_bar"]))
             lines = table[:len(cols["tau_bar"])]
             first = {}
             for name, slot in slots.items():
@@ -240,18 +241,13 @@ def _float_columns(taus, columns: dict) -> tuple[np.ndarray, dict]:
     return taus, cols
 
 
-def _slicer(columns: dict):
-    """The block function of whole columns: the slices of `names` on one block of rows."""
-    return lambda rows, names: {name: columns[name][rows] for name in names}
-
-
 def _row_blocks(n: int):
     """Slices of at most _BLOCK_ROWS rows covering rows 0..n-1 in order."""
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def _format_block(line: str, cols: list[np.ndarray]) -> str:
-    """line % row for each row of one block's equal-length 1-D column slices."""
+    """line % row for each row of equal-length 1-D columns."""
     block = np.column_stack(cols)
     return line * len(block) % tuple(block.ravel().tolist())
 
@@ -262,32 +258,8 @@ def _text(table: np.ndarray) -> str:
     return str(flat[flat != 0], "ascii")
 
 
-def _points(x: np.ndarray, y: np.ndarray) -> str:
-    """_format_block("%.2f,%.2f ", [x, y]), by array arithmetic where every coordinate is
-    finite, at least +0.0 and below 2**52 / 100, so that 100 x is exact in np.longdouble."""
-    if not (_long_double_exact()
-            and all(not np.signbit(c).any() and (c < 2**52 / 100).all() for c in (x, y))):
-        return _format_block("%.2f,%.2f ", [x, y])
-    sep = np.full((len(x), 1), ord(","), np.uint8)
-    return _text(np.hstack([_cents_cells(x), sep, _cents_cells(y), np.full_like(sep, ord(" "))]))
-
-
-def _cents_cells(v: np.ndarray) -> np.ndarray:
-    """%.2f of each x of v (as _points takes them) as ASCII rows of one width, right-aligned
-    after zero bytes: np.rint rounds the exact 100 x half to even, as %.2f does."""
-    k = np.rint(v.astype(np.longdouble) * 100).astype(np.int64)
-    width = len(str(int(k.max()) // 100)) + 3
-    cells = np.full((len(v), width), ord("."), np.uint8)
-    for j in (width - 1, width - 2, *range(width - 4, -1, -1)):
-        cells[:, j] = k % 10 + ord("0")
-        if j < width - 4:
-            cells[:, j] *= k > 0  # a leading zero
-        k //= 10
-    return cells
-
-
 def _long_double_exact() -> bool:
-    """Whether np.longdouble has the 64-bit significand that the kernels' error bounds need."""
+    """Whether np.longdouble has the 64-bit significand that _repr_cells' error bound needs."""
     return np.finfo(np.longdouble).nmant >= 63
 
 
@@ -406,36 +378,61 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
 
 
 def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
-    """Minimal static line plot: axes, ticks, one polyline per series, legend."""
+    """Minimal static line plot: axes, ticks, one polyline per series through its M4
+    points, legend."""
     taus, series = _float_columns(taus, series)
     if len(taus) < 2 or taus[0] == taus[-1]:
         ends = f" from {float(taus[0])!r} to {float(taus[-1])!r}" if len(taus) else ""
         raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
                             f"and last values, got {len(taus)} rows{ends}")
-    _write_svg(path, taus, list(series), _slicer(series))
+    kept = [(taus[:0], taus[:0])] * len(series)
+    for rows in _row_blocks(len(taus)):
+        kept = _m4_fold(kept, taus, rows, [col[rows] for col in series.values()])
+    _write_svg(path, list(series), taus, kept)
 
 
-def _write_svg(path, taus: np.ndarray, names: list, block) -> None:
-    """The SVG of two or more rows of taus with distinct ends: one polyline per series
-    of names, in plot order, whose values on one block of rows are block(rows, names)."""
-    ml, mr, mt, mb = 72, 18, 18, 56
-    plot_w, plot_h = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
+def _sx(x, taus: np.ndarray):
+    """The SVG's x pixel coordinate of tau_bar x on the x axis of taus."""
+    return _SVG_LEFT + (x - float(taus[0])) / (float(taus[-1]) - float(taus[0])) * _PLOT_W
+
+
+def _m4_fold(kept: list, taus: np.ndarray, rows: slice, ys: list) -> list:
+    """kept, each series' M4 points (x, y), with the block of rows of taus and of ys folded
+    in. M4 keeps, of each run of consecutive rows in one pixel column, the first and last
+    row and the first least and greatest y. A block extends only kept's last run, at most
+    its last 4 points, and M4 of a suffix of a run's M4 points keeps them all."""
+    folded = []
+    for (kx, ky), y in zip(kept, ys):
+        x, y = np.concatenate([kx[-4:], taus[rows]]), np.concatenate([ky[-4:], y])
+        px = np.floor(_sx(x, taus))
+        first = np.flatnonzero(np.r_[True, px[1:] != px[:-1]])
+        size = np.diff(np.r_[first, len(px)])
+        keep = np.zeros(len(px), bool)
+        keep[first] = keep[first + size - 1] = True
+        for extreme in (np.minimum, np.maximum):
+            hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, first), size))
+            keep[hits[np.searchsorted(hits, first)]] = True  # each run's first hit
+        folded.append((np.concatenate([kx[:-4], x[keep]]), np.concatenate([ky[:-4], y[keep]])))
+    return folded
+
+
+def _write_svg(path, names: list, taus: np.ndarray, kept: list) -> None:
+    """The SVG of one polyline per series of names, in plot order, through its kept
+    points (x, y), on the x axis of taus, whose ends differ."""
+    ml, mt, plot_w, plot_h = _SVG_LEFT, _SVG_TOP, _PLOT_W, _PLOT_H
     x_lo, x_hi = float(taus[0]), float(taus[-1])
-    n = len(taus)
 
-    # the y range spans 0 and every series; with no series, y_hi - y_lo is -inf below
-    y_lo, y_hi = 0.0, -math.inf
-    for rows in _row_blocks(n):
-        cols = block(rows, names)
-        for name in names:
-            y_lo, y_hi = min(y_lo, float(np.min(cols[name]))), max(y_hi, float(np.max(cols[name])))
-    if y_hi - y_lo < 1e-12:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def sx(x):
-        return ml + (x - x_lo) / (x_hi - x_lo) * plot_w
+    # the y range spans 0 and every series; with no series, hi - lo is -inf below
+    lo = min([0.0, *(float(np.min(y)) for _, y in kept)])
+    hi = max([-math.inf, *(float(np.max(y)) for _, y in kept)])
+    if hi - lo < 1e-12:
+        hi = lo + 1.0
+    pad = 0.05 * (hi - lo)
+    y_lo, y_hi = lo - pad, hi + pad
+    if not math.isfinite(y_hi - y_lo):  # so are y_lo and y_hi
+        raise InvalidConfig(f"an SVG plot needs a y range finite when padded by 5 %, got {lo!r} "
+                            f"to {hi!r}")
+    sx = functools.partial(_sx, taus=taus)
 
     def sy(y):
         return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
@@ -473,17 +470,14 @@ def _write_svg(path, taus: np.ndarray, names: list, block) -> None:
 
     with open(path, "w", encoding="ascii") as handle:
         handle.writelines(part + "\n" for part in parts)
-        for idx, name in enumerate(names):
+        for idx, (name, (x, y)) in enumerate(zip(names, kept)):
             color = _SVG_COLORS.get(name, "#333333")
             label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             label = label.encode("ascii", "xmlcharrefreplace").decode("ascii")
-            handle.write('<polyline points="')
-            for rows in _row_blocks(n):
-                pts = _points(sx(taus[rows]), sy(block(rows, [name])[name]))
-                handle.write(pts if rows.stop < n else pts[:-1])
+            points = _format_block("%.2f,%.2f ", [sx(x), sy(y)])[:-1]
             ly = mt + 16 + 18 * idx
             handle.write(
-                f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
                 f'<line x1="{ml + plot_w - 130}" y1="{ly}" x2="{ml + plot_w - 105}" '
                 f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>\n'
                 f'<text x="{ml + plot_w - 100}" y="{ly + 4}" font-size="12" '

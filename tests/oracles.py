@@ -5,7 +5,8 @@ the Pauli correlations take one kron and trace per entry (the library maps
 rho through one precomputed 16 x 16 matrix), lifted_conditional_entropy
 lifts the projectors onto both spins and needs no Pauli algebra at all,
 and entropies/partial traces are local re-implementations. The sweep
-writers' references format one row or one point at a time.
+writers' references format one row or one point at a time, and ref_m4_rows
+picks a plot's rows with a scalar loop over the runs.
 eig_general_moduli gives the concurrence spectrum through a general
 (non-Hermitian) eigensolver. rank2_min_cond_entropy gives the minimal
 conditional entropy of a rank <= 2 state in closed form, where the library
@@ -15,6 +16,7 @@ error type that eig_general_moduli raises.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import repeat
 
@@ -248,9 +250,25 @@ def ref_write_csv(path, taus, columns):
         handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-def ref_polyline_points(taus, series, width=880, height=560):
+def ref_m4_rows(px, y):
+    """M4 run by run: of each run of consecutive rows with one pixel column px, the
+    first and last row and the first rows of the least and greatest y, in order."""
+    rows, start = [], 0
+    for end in range(1, len(px) + 1):
+        if end == len(px) or px[end] != px[start]:
+            run = range(start, end)
+            lo = min(run, key=lambda i: y[i])  # min and max return the first of equals
+            hi = max(run, key=lambda i: y[i])
+            rows += sorted({start, end - 1, lo, hi})
+            start = end
+    return rows
+
+
+def ref_polyline_points(taus, series, width=880, height=560, rows=None):
     """The points attribute of each SVG polyline, point by point with scalar
-    arithmetic: the y range spans every series and 0, padded by 5 %."""
+    arithmetic: the y range spans every series and 0, padded by 5 %. rows(px, y),
+    if given, picks the rows a polyline draws from its pixel columns px, the
+    floor of each x coordinate, and its values y."""
     ml, mr, mt, mb = 72, 18, 18, 56
     plot_w, plot_h = width - ml - mr, height - mt - mb
     taus = np.asarray(taus, dtype=float)
@@ -268,5 +286,11 @@ def ref_polyline_points(taus, series, width=880, height=560):
     def sy(y):
         return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(taus, values))
-            for values in series.values()]
+    lines = []
+    for values in series.values():
+        values = np.asarray(values, dtype=float).tolist()
+        drawn = range(len(values))
+        if rows is not None:
+            drawn = rows([math.floor(sx(x)) for x in taus.tolist()], values)
+        lines.append(" ".join(f"{sx(taus[i]):.2f},{sy(values[i]):.2f}" for i in drawn))
+    return lines

@@ -22,7 +22,7 @@ from mqdimer import sweep
 from mqdimer.errors import InvalidConfig
 from mqdimer.sweep import _BLOCK_ROWS, CSV_COLUMNS, CSV_HEADER, read_csv, write_csv, write_svg
 
-from oracles import ref_polyline_points, ref_write_csv
+from oracles import ref_m4_rows, ref_polyline_points, ref_write_csv
 
 ISQ = 1.0 / math.sqrt(2.0)
 
@@ -245,8 +245,33 @@ class TestBlockWriters:
         }[kind]
         write_svg(tmp_path / "block.svg", taus, series)
         svg = (tmp_path / "block.svg").read_text()
-        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+        ref = ref_polyline_points(taus, series, rows=None if n == 2 else ref_m4_rows)
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref
         ElementTree.parse(tmp_path / "block.svg")
+
+    @pytest.mark.parametrize("case", ["permuted tau_bar", "ties", "a run across a block edge"])
+    def test_svg_polylines_keep_the_m4_rows(self, tmp_path, case):
+        rng = np.random.default_rng(26)
+        n = 3 * _BLOCK_ROWS + 7
+        taus = np.linspace(-1.0, 2.0, n)
+        series = {"g0": rng.standard_normal(n), "j2": np.sin(7.0 * taus)}
+        if case == "permuted tau_bar":  # runs of rows in one column, in shuffled order
+            segments = np.array_split(taus, 97)  # the ends stay, and so does the x axis
+            taus = np.concatenate([segments[i] for i in [0, *1 + rng.permutation(95), 96]])
+        elif case == "ties":  # a least and a greatest value in many rows of a column, -0.0 too
+            series = {"g0": np.round(rng.uniform(-1.0, 1.0, n), 1),
+                      "concurrence": np.where(rng.random(n) < 0.5, -0.0, 0.0)}
+        else:  # one pixel column from 50 rows before the edge to 50 after it
+            edge = _BLOCK_ROWS
+            taus[edge - 50:edge + 50] = taus[edge - 50]
+            y = series["g0"]
+            y[edge - 10] = y[edge + 10] = -5.0  # the first least row comes before the edge
+            y[edge + 20] = 5.0
+        write_svg(tmp_path / "out.svg", taus, series)
+        svg = (tmp_path / "out.svg").read_text()
+        ref = ref_polyline_points(taus, series, rows=ref_m4_rows)
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref
+        assert all(len(points.split()) < n for points in ref)
 
     @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 2], ids=["shorter", "longer"])
@@ -297,9 +322,10 @@ class TestBlockWriters:
         assert not path.exists()
 
     def test_writer_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
+        # 4096 and 16384 rows both fill the SVG's M4 cap of ~4 points per pixel column
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
         peaks = {}
-        for blocks in (1, 4, 32):  # the 1-block pass only warms caches up
+        for blocks in (1, 16, 64):  # the 1-block pass only warms caches up
             rng = np.random.default_rng(blocks)
             taus = np.linspace(0.0, math.pi, 256 * blocks)
             cols = {name: rng.standard_normal(len(taus)) for name in CSV_COLUMNS[1:]}
@@ -312,7 +338,7 @@ class TestBlockWriters:
                 finally:
                     tracemalloc.stop()
         for name in ("write_csv", "write_svg"):
-            assert peaks[name, 32] <= 1.25 * peaks[name, 4], peaks
+            assert peaks[name, 64] <= 1.25 * peaks[name, 16], peaks
 
 
 def repr_rows(v):
@@ -372,40 +398,36 @@ class TestCellKernels:
         assert [row.tobytes() for row in table[1]] == [(b"%04d" % i).rstrip(b"0").ljust(4, b"\0")
                                                        for i in range(10000)]
 
-    @pytest.mark.parametrize("write", [write_csv, write_svg], ids=["csv", "svg"])
-    def test_a_narrow_long_double_writes_the_same_bytes(self, tmp_path, monkeypatch, write):
+    def test_a_narrow_long_double_writes_the_same_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
         n = _BLOCK_ROWS + 5
         taus = np.linspace(0.0, 3.0, n)
-        columns = {"g0": mixed_floats(rng, n) if write is write_csv else rng.uniform(0.0, 1.0, n),
-                   "j2": np.sin(taus) ** 2}
-        write(tmp_path / "wide", taus, columns)
+        columns = {"g0": mixed_floats(rng, n), "j2": np.sin(taus) ** 2}
+        write_csv(tmp_path / "wide", taus, columns)
         monkeypatch.setattr(sweep, "_long_double_exact", lambda: False)
-        write(tmp_path / "narrow", taus, columns)
+        write_csv(tmp_path / "narrow", taus, columns)
         assert (tmp_path / "wide").read_bytes() == (tmp_path / "narrow").read_bytes()
-
-    @pytest.mark.parametrize("x, y", [
-        (np.arange(8 * 900) / 8, np.arange(8 * 900)[::-1] / 8),
-        (np.linspace(0.0, 2**52 / 100, 999, endpoint=False), np.full(999, 1e-3)),
-        (np.random.default_rng(3).uniform(0.0, 900.0, 5000), np.linspace(18.0, 522.0, 5000)),
-        (np.array([0.0, 0.005, 0.015, 1.005, 2.675, 0.125]),
-         np.array([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0])),
-        (np.array([1.0, -0.001]), np.array([1.0, 2.0])),
-        (np.array([1.0, np.nan]), np.array([np.inf, 2.0])),
-    ], ids=["eighths", "up to 2**52 / 100", "random", "ties and -0.0", "negative", "not finite"])
-    def test_svg_points_equal_format_block(self, x, y):
-        assert sweep._points(x, y) == sweep._format_block("%.2f,%.2f ", [x, y])
 
     @pytest.mark.parametrize("taus, series", [
         (np.linspace(3.0, -1.0, 9), {"g0": np.linspace(0.0, 1.0, 9)}),
-        (np.linspace(0.0, 1.0, 5), {"g0": np.array([-1e308, 0.0, 1e308, 1.0, 0.5])}),
         (np.linspace(0.0, 790.0 / 8, 81), {"j2": np.arange(81) / 64.0}),
-    ], ids=["decreasing tau_bar", "nan y range", "ties"])
+    ], ids=["decreasing tau_bar", "ties"])
     def test_svg_polylines_at_the_kernel_edges_match_reference(self, tmp_path, taus, series):
-        with np.errstate(over="ignore", invalid="ignore"):
-            write_svg(tmp_path / "out.svg", taus, series)
-            ref = ref_polyline_points(taus, series)
+        write_svg(tmp_path / "out.svg", taus, series)
+        ref = ref_polyline_points(taus, series)
         assert re.findall(r'<polyline points="([^"]*)"', (tmp_path / "out.svg").read_text()) == ref
+
+    @pytest.mark.parametrize("series", [
+        {"g0": [-1e308, 0.0, 1e308, 1.0, 0.5]},
+        {"g0": [1e308, 0.5, 0.0, 0.5, 1.0], "j2": [-1e308, 0.0, 0.0, 0.0, 0.0]},
+        {"g0": [-1.7e308, 0.0, 0.0, 0.0, 0.0]},
+        {"g0": [-8.5e307, 8.5e307, 0.0, 0.0, 0.0]},
+    ], ids=["one series", "two series", "padded end", "padded span"])
+    def test_an_svg_y_range_past_the_float_range_leaves_no_file(self, tmp_path, series):
+        path = tmp_path / "out.svg"
+        with pytest.raises(InvalidConfig, match="y range .* got -"):
+            write_svg(path, np.linspace(0.0, 1.0, 5), series)
+        assert not path.exists()
 
 
 def whole_columns(cfg):
@@ -442,21 +464,17 @@ class TestSweepBlocks:
             assert paths[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
         series = {q: cols[q] for q in ("g0", "j2", "concurrence", "discord") if q in cols}
         svg = paths[-1].read_text()
-        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref_polyline_points(taus, series)
+        ref = ref_polyline_points(taus, series, rows=None if n == 2 else ref_m4_rows)
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == ref
         write_svg(tmp_path / "ref.svg", taus, series)
         assert svg == (tmp_path / "ref.svg").read_text()
         ElementTree.parse(paths[-1])
 
-    @pytest.mark.parametrize("fmt, per_block", [
-        ("csv", {"analytic_intensities": 1, "concurrence_analytic": 1, "discord_curve": 1}),
-        ("svg", {"analytic_intensities": 3, "concurrence_analytic": 2, "discord_curve": 2}),
-        ("both", {"analytic_intensities": 4, "concurrence_analytic": 3, "discord_curve": 3}),
-    ], ids=["csv", "svg", "both"])
-    def test_each_pass_evaluates_only_its_closed_forms(self, tmp_path, monkeypatch, fmt,
-                                                       per_block):
-        # per block: one pass for the CSV, one for the SVG's y range, and one per polyline
-        # that evaluates its own series only (g0 and j2 each take analytic_intensities)
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    def test_each_pass_evaluates_only_its_closed_forms(self, tmp_path, monkeypatch, fmt):
+        # one evaluation per block feeds both writers; g0 and j2 share analytic_intensities
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
+        per_block = {"analytic_intensities": 1, "concurrence_analytic": 1, "discord_curve": 1}
         calls = collections.Counter()
         for name in per_block:
             def counted(*args, name=name, real=getattr(sweep, name), **kwargs):
@@ -468,10 +486,11 @@ class TestSweepBlocks:
         assert calls == {name: 4 * count for name, count in per_block.items()}
 
     def test_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
-        # beyond tau_bar's 8 B per row, which run_sweep holds whole
+        # beyond tau_bar's 8 B per row, which run_sweep holds whole; 4096 and 16384 rows
+        # both fill the SVG's M4 cap of ~4 points per pixel column
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
         peaks = {}
-        for blocks in (1, 4, 32):  # the 1-block pass only warms caches up
+        for blocks in (1, 16, 64):  # the 1-block pass only warms caches up
             cfg = SweepConfig(points=256 * blocks, quantities=("g0", "j2", "concurrence", "discord"),
                               format="both", output_path=str(tmp_path / "sweep"))
             tracemalloc.start()
@@ -480,7 +499,24 @@ class TestSweepBlocks:
                 peaks[blocks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[32] <= 1.25 * peaks[4] + 8 * 256 * (32 - 4), peaks
+        assert peaks[64] <= 1.25 * peaks[16] + 8 * 256 * (64 - 16), peaks
+
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        cfg = dict(alpha=0.6, beta=0.8, b=1.0, points=3 * _BLOCK_ROWS + 7,
+                   quantities=("g0", "j2", "concurrence", "discord"), format="both")
+        taus = np.sin(np.linspace(0.0, 20.0, 3 * _BLOCK_ROWS + 7))  # long runs at each turn
+        series = {"g0": np.cos(5.0 * taus), "j2": np.random.default_rng(5).standard_normal(len(taus))}
+        outputs = []
+        for rows in (_BLOCK_ROWS, 256):
+            monkeypatch.setattr(sweep, "_BLOCK_ROWS", rows)
+            paths = run_sweep(SweepConfig(**cfg, output_path=str(tmp_path / f"sweep-{rows}")))
+            write_svg(tmp_path / f"permuted-{rows}.svg", taus, series)
+            outputs.append([path.read_bytes()
+                            for path in (*paths, tmp_path / f"permuted-{rows}.svg")])
+        assert outputs[0] == outputs[1]
+        polylines = re.findall(rb'<polyline points="([^"]*)"', outputs[0][1])
+        assert len(polylines) == 4
+        assert all(len(points.split()) <= 4 * (sweep._PLOT_W + 1) for points in polylines)
 
 
 class TestReadCsv:
