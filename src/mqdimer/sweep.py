@@ -31,9 +31,9 @@ write_csv and write_svg slice their arrays into the same blocks. tau_bar
 must be 1-D and every column finite numbers of its shape
 (linalg.finite_array's rule), and write_csv takes only CSV column names;
 else InvalidConfig, naming the column, before the file is opened, as for
-an SVG of fewer than two rows, of equal first and last tau_bar, whose x
-axis has no length, or of a y range wider than a float. Legend names are
-escaped for XML, non-ASCII ones as character references.
+an SVG of fewer than two rows, of equal first and last tau_bar, or of a
+tau_bar span or y range wider than a float; legend names are escaped for
+XML. read_csv is one np.loadtxt parse fed by a check of each line's width.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -339,52 +340,50 @@ def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
-    """A sweep CSV's columns as arrays, absent ones as None; InvalidConfig for a non-finite cell.
+    """The columns of a sweep CSV as views of one table from one np.loadtxt parse, None for
+    a column empty in the first row. InvalidConfig at the file's first fault: a wrong header,
+    a non-ASCII byte, a row not of 7 cells, or a cell of a column filled in the first row
+    that is empty, non-numeric or non-finite, named with its row (from 1)."""
+    try:
+        with open(path, encoding="ascii", newline="") as handle:
+            # lines broken where str.splitlines breaks them, as when the text was read whole
+            lines = chain.from_iterable(map(str.splitlines, handle))
+            if next(lines, None) != CSV_HEADER:
+                raise InvalidConfig(f"unexpected CSV header in {path}")
+            first = next(lines, None)
+            if first is None:  # loadtxt warns on no rows
+                return {name: np.empty(0) for name in CSV_COLUMNS}
+            filled = [j for j, cell in enumerate(first.split(",")) if cell]
 
-    A first pass counts the rows, so each column is allocated once at its length; the
-    second reads _BLOCK_ROWS lines at a time and converts each block's cells with one
-    np.array call per column, so beyond the columns it holds one block of text. A column
-    with an empty cell in any row reads as None."""
-    with open(path, encoding="ascii", newline="") as handle:
-        # lines broken where str.splitlines breaks them, as when the text was read whole
-        count = sum(map(len, map(str.splitlines, handle))) - 1
-        handle.seek(0)
-        lines = chain.from_iterable(map(str.splitlines, handle))
-        if next(lines, None) != CSV_HEADER:
-            raise InvalidConfig(f"unexpected CSV header in {path}")
-        out: dict[str, np.ndarray | None] = {name: np.empty(count) for name in CSV_COLUMNS}
-        bad, width = set(), None
-        for rows in _row_blocks(count):
-            block = [line.split(",") for line in islice(lines, _BLOCK_ROWS)]
-            width = width or len(block[0])
-            if set(map(len, block)) != {width}:
-                raise InvalidConfig(f"ragged rows in {path}")
-            for name, col in zip(CSV_COLUMNS, zip(*block)):
-                if out[name] is None:
-                    continue
-                if "" in col:
-                    out[name] = None
-                elif name not in bad:
-                    try:
-                        out[name][rows] = finite_array(np.array(col, dtype=float), name)
-                    except (ValueError, InvalidParams):
-                        bad.add(name)
-    if width not in (None, len(CSV_COLUMNS)):
-        raise InvalidConfig(f"rows of {width} cells in {path}, expected {len(CSV_COLUMNS)}")
-    for name in CSV_COLUMNS:
-        if out[name] is not None and name in bad:
-            raise InvalidConfig(f"non-numeric or non-finite cell in column {name} of {path}")
-    return out
+            def rows():  # each checked, as loadtxt skips cells beyond usecols
+                for row, line in enumerate(chain([first], lines), 1):
+                    if (n := line.count(",") + 1) != len(CSV_COLUMNS):
+                        raise InvalidConfig(f"{'ragged ' * (row > 1)}rows of {n} cells in {path} "
+                                            f"at row {row}")
+                    yield line
+
+            table = np.loadtxt(rows(), delimiter=",", comments=None, usecols=filled, ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"non-ASCII byte in {path}") from exc
+    except ValueError as exc:  # loadtxt's ends "at row r, column c." (r from 0, c from 1)
+        r, c = map(int, re.search(r"row (\d+), column (\d+)", str(exc)).groups())
+        raise InvalidConfig(f"empty or non-numeric cell in column {CSV_COLUMNS[c - 1]} of {path}, "
+                            f"row {r + 1}") from exc
+    if not np.isfinite(table).all():
+        row, j = np.argwhere(~np.isfinite(table))[0]
+        raise InvalidConfig(f"non-finite cell in column {CSV_COLUMNS[filled[j]]} of {path}, "
+                            f"row {row + 1}")
+    return dict.fromkeys(CSV_COLUMNS) | {CSV_COLUMNS[j]: col for j, col in zip(filled, table.T)}
 
 
 def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     """Minimal static line plot: axes, ticks, one polyline per series through its M4
     points, legend."""
     taus, series = _float_columns(taus, series)
-    if len(taus) < 2 or taus[0] == taus[-1]:
+    if len(taus) < 2 or taus[0] == taus[-1] or math.isinf(float(taus.max()) - float(taus.min())):
         ends = f" from {float(taus[0])!r} to {float(taus[-1])!r}" if len(taus) else ""
         raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
-                            f"and last values, got {len(taus)} rows{ends}")
+                            f"and last values, a span finite as a float, got {len(taus)} rows{ends}")
     kept = [(taus[:0], taus[:0])] * len(series)
     for rows in _row_blocks(len(taus)):
         kept = _m4_fold(kept, taus, rows, [col[rows] for col in series.values()])
