@@ -5,10 +5,10 @@ one row per uniformly spaced tau_bar, unrequested columns left empty.
 Floats are written with repr, i.e. the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
-run_sweep makes one pass over _row_blocks slices of tau_bar, evaluating each
-requested closed form (discord_curve's among them) once per block for the CSV
-and the SVG, so tau_bar is the only array of 8 B per row. The SVG keeps the
-M4 points of each series (Jugel et al., PVLDB 7(10), 797, 2014), which draw
+run_sweep, write_csv and write_svg feed one loop, _write_blocks, with the
+_row_blocks slices of their columns; run_sweep evaluates each requested closed
+form once per block, so tau_bar is its only array of 8 B per row. The SVG keeps
+the M4 points of each series (Jugel et al., PVLDB 7(10), 797, 2014), which draw
 like every row at its pixel width: at most 4 per pixel column, and every row
 where a column holds at most two (a linspace of up to 1580 rows).
 
@@ -27,13 +27,12 @@ two among them), zero, tiny and huge values and integers take repr, batched
 per block (about 4 % of sweep values), and so does every value where
 np.longdouble has fewer than 64 significant bits.
 
-write_csv and write_svg slice their arrays into the same blocks. tau_bar
-must be 1-D and every column finite numbers of its shape
-(linalg.finite_array's rule), and write_csv takes only CSV column names;
-else InvalidConfig, naming the column, before the file is opened, as for
-an SVG of fewer than two rows, of equal first and last tau_bar, or of a
-tau_bar span or y range wider than a float; legend names are escaped for
-XML. read_csv is one np.loadtxt parse fed by a check of each line's width.
+tau_bar must be 1-D and every column finite numbers of its shape
+(linalg.finite_array's rule), and write_csv takes only CSV column names; else
+InvalidConfig, naming the column, before the file is opened, as for an SVG of
+fewer than two rows, of a tau_bar not monotone, of equal first and last tau_bar,
+or of a tau_bar span or y range wider than a float; legend names are escaped
+for XML. read_csv is one np.loadtxt parse fed by a check of each line's width.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import functools
 import math
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -144,38 +144,28 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     p = cfg.params()
     taus = np.linspace(start, end, cfg.points)
     series = [q for q in QUANTITIES if q in cfg.quantities]
-    paths = [Path(cfg.output_path).with_suffix("." + fmt)
-             for fmt in ("csv", "svg") if cfg.format in (fmt, "both")]
-    kept = [(taus[:0], taus[:0])] * len(series)
+    csv_path, svg_path = (Path(cfg.output_path).with_suffix("." + fmt)
+                          if cfg.format in (fmt, "both") else None for fmt in ("csv", "svg"))
+    _write_blocks(csv_path, svg_path, taus, series,
+                  (_closed_forms(p, taus[rows], series, cfg.measured_subsystem)
+                   for rows in _row_blocks(len(taus))))
+    return [path for path in (csv_path, svg_path) if path is not None]
 
-    def blocks():
-        """The CSV columns of each block of rows, its series folded into kept for an SVG."""
-        nonlocal kept
-        for rows in _row_blocks(len(taus)):
-            t = taus[rows]
-            cols = {"tau_bar": t}
-            if "g0" in series or "j2" in series:
-                prof = analytic_intensities(p, tau_bar=t)
-                if "g0" in series:
-                    cols["g0"] = prof.g0
-                if "j2" in series:
-                    cols.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
-            if "concurrence" in series:
-                cols["concurrence"] = concurrence_analytic(p, tau_bar=t)
-            if "discord" in series:
-                cols["discord"] = discord_curve(p, tau_bar=t, measured=cfg.measured_subsystem)
-            if cfg.format != "csv":
-                kept = _m4_fold(kept, taus, rows, [cols[q] for q in series])
-            yield cols
 
-    if cfg.format == "svg":
-        for _ in blocks():
-            pass
-    else:
-        _write_csv(paths[0], blocks())
-    if cfg.format != "csv":
-        _write_svg(paths[-1], series, taus, kept)
-    return paths
+def _closed_forms(p: DimerParams, t: np.ndarray, series: list, measured: int) -> dict:
+    """tau_bar t and the CSV columns of series at t, each closed form evaluated once."""
+    cols = {"tau_bar": t}
+    if "g0" in series or "j2" in series:
+        prof = analytic_intensities(p, tau_bar=t)
+        if "g0" in series:
+            cols["g0"] = prof.g0
+        if "j2" in series:
+            cols.update(g2=prof.g_plus2, gm2=prof.g_minus2, j2=prof.j2)
+    if "concurrence" in series:
+        cols["concurrence"] = concurrence_analytic(p, tau_bar=t)
+    if "discord" in series:
+        cols["discord"] = discord_curve(p, tau_bar=t, measured=measured)
+    return cols
 
 
 def write_csv(path, taus, columns: dict) -> None:
@@ -186,30 +176,38 @@ def write_csv(path, taus, columns: dict) -> None:
         raise InvalidConfig(f"unknown columns {unknown}; choose from {CSV_COLUMNS[1:]}")
     taus, cols = _float_columns(taus, columns)
     whole = {"tau_bar": taus, **{name: col for name, col in cols.items() if col is not None}}
-    _write_csv(path, ({name: col[rows] for name, col in whole.items()}
-                      for rows in _row_blocks(len(taus))))
+    _write_blocks(path, None, taus, [], ({name: col[rows] for name, col in whole.items()}
+                                         for rows in _row_blocks(len(taus))))
 
 
-def _write_csv(path, blocks) -> None:
-    """Write the header, then each block of rows of blocks, dicts of tau_bar and CSV
-    columns, the same columns in every block and no block longer than the first."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(CSV_HEADER + "\n")
-        table = None
-        for cols in blocks:
-            if table is None:
-                table, slots = _csv_table(cols, len(cols["tau_bar"]))
-            lines = table[:len(cols["tau_bar"])]
-            first = {}
-            for name, slot in slots.items():
-                col = cols[name]
-                if id(col) in first:  # run_sweep's g2 and gm2 are one array, converted once
-                    lines[:, slot] = lines[:, first[id(col)]]
-                else:
-                    _repr_cells(col, lines[:, slot])
-                    first[id(col)] = slot
-            for start in range(0, len(lines), _TEXT_ROWS):
-                handle.write(_text(lines[start:start + _TEXT_ROWS]))
+def _write_blocks(csv_path, svg_path, taus: np.ndarray, names: list, blocks) -> None:
+    """Write blocks, dicts of the columns of each _row_blocks slice of taus: tau_bar and the
+    CSV columns to a CSV at csv_path, header first, and the series of names through their
+    M4 points to an SVG at svg_path after the last block; a path of None skips its file."""
+    kept = [(taus[:0], taus[:0])] * len(names)
+    with nullcontext() if csv_path is None else open(csv_path, "w", encoding="ascii") as handle:
+        if handle:
+            handle.write(CSV_HEADER + "\n")
+        table = None  # one per file: a new table per block faults in its pages each time
+        for rows, cols in zip(_row_blocks(len(taus)), blocks):
+            if handle:
+                if table is None:
+                    table, slots = _csv_table(cols, len(cols["tau_bar"]))
+                lines = table[:len(cols["tau_bar"])]
+                first = {}
+                for name, slot in slots.items():
+                    col = cols[name]
+                    if id(col) in first:  # run_sweep's g2 and gm2 are one array, converted once
+                        lines[:, slot] = lines[:, first[id(col)]]
+                    else:
+                        _repr_cells(col, lines[:, slot])
+                        first[id(col)] = slot
+                for start in range(0, len(lines), _TEXT_ROWS):
+                    handle.write(_text(lines[start:start + _TEXT_ROWS]))
+            if svg_path is not None:
+                kept = _m4_fold(kept, taus, rows, [cols[name] for name in names])
+    if svg_path is not None:
+        _write_svg(svg_path, names, taus, kept)
 
 
 def _csv_table(cols: dict, rows: int) -> tuple[np.ndarray, dict]:
@@ -380,14 +378,14 @@ def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
     """Minimal static line plot: axes, ticks, one polyline per series through its M4
     points, legend."""
     taus, series = _float_columns(taus, series)
-    if len(taus) < 2 or taus[0] == taus[-1] or math.isinf(float(taus.max()) - float(taus.min())):
+    if (len(taus) < 2 or taus[0] == taus[-1] or math.isinf(float(taus[-1]) - float(taus[0]))
+            or not (np.all(taus[1:] >= taus[:-1]) or np.all(taus[1:] <= taus[:-1]))):
         ends = f" from {float(taus[0])!r} to {float(taus[-1])!r}" if len(taus) else ""
-        raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar with distinct first "
-                            f"and last values, a span finite as a float, got {len(taus)} rows{ends}")
-    kept = [(taus[:0], taus[:0])] * len(series)
-    for rows in _row_blocks(len(taus)):
-        kept = _m4_fold(kept, taus, rows, [col[rows] for col in series.values()])
-    _write_svg(path, list(series), taus, kept)
+        raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar in monotone order, "
+                            f"with distinct first and last values and a span finite as a "
+                            f"float, got {len(taus)} rows{ends}")
+    _write_blocks(None, path, taus, list(series), ({name: col[rows] for name, col in series.items()}
+                                                   for rows in _row_blocks(len(taus))))
 
 
 def _sx(x, taus: np.ndarray):

@@ -232,7 +232,8 @@ class TestBlockWriters:
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
-    @pytest.mark.parametrize("kind", ["mixed signs", "negative", "flat zero", "flat negative"])
+    @pytest.mark.parametrize("kind", ["mixed signs", "negative", "flat zero", "flat negative",
+                                      "named tau_bar and g2"])
     def test_svg_polylines_match_reference(self, tmp_path, n, kind):
         rng = np.random.default_rng(n)
         taus = np.linspace(-3.0, 5.0, n) + rng.uniform(0.0, 1e-3)
@@ -242,6 +243,8 @@ class TestBlockWriters:
             "negative": {"g0": -rng.uniform(0.1, 1.0, n), "j2": -rng.uniform(1e-3, 3.0, n)},
             "flat zero": {"g0": np.zeros(n), "concurrence": np.zeros(n)},
             "flat negative": {"j2": np.full(n, -0.3)},
+            "named tau_bar and g2": {"tau_bar": rng.uniform(-1.0, 1.0, n),
+                                     "g2": rng.standard_normal(n)},
         }[kind]
         write_svg(tmp_path / "block.svg", taus, series)
         svg = (tmp_path / "block.svg").read_text()
@@ -249,15 +252,14 @@ class TestBlockWriters:
         assert re.findall(r'<polyline points="([^"]*)"', svg) == ref
         ElementTree.parse(tmp_path / "block.svg")
 
-    @pytest.mark.parametrize("case", ["permuted tau_bar", "ties", "a run across a block edge"])
+    @pytest.mark.parametrize("case", ["decreasing tau_bar", "ties", "a run across a block edge"])
     def test_svg_polylines_keep_the_m4_rows(self, tmp_path, case):
         rng = np.random.default_rng(26)
         n = 3 * _BLOCK_ROWS + 7
         taus = np.linspace(-1.0, 2.0, n)
         series = {"g0": rng.standard_normal(n), "j2": np.sin(7.0 * taus)}
-        if case == "permuted tau_bar":  # runs of rows in one column, in shuffled order
-            segments = np.array_split(taus, 97)  # the ends stay, and so does the x axis
-            taus = np.concatenate([segments[i] for i in [0, *1 + rng.permutation(95), 96]])
+        if case == "decreasing tau_bar":  # pixel columns from right to left, over 4 blocks
+            taus = taus[::-1]
         elif case == "ties":  # a least and a greatest value in many rows of a column, -0.0 too
             series = {"g0": np.round(rng.uniform(-1.0, 1.0, n), 1),
                       "concurrence": np.where(rng.random(n) < 0.5, -0.0, 0.0)}
@@ -314,13 +316,23 @@ class TestBlockWriters:
         texts = ElementTree.parse(tmp_path / "out.svg").iter("{http://www.w3.org/2000/svg}text")
         assert [text.text for text in texts][-4:] == names
 
-    @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5], [-1e308, 0.0, 1e308]],
-                             ids=["0 rows", "1 row", "equal ends", "span beyond a float"])
+    @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5], [-1e308, 0.0, 1e308],
+                                      [0.0, 1e300, 1e-300], [0.0, 2.0, 1.0]],
+                             ids=["0 rows", "1 row", "equal ends", "span beyond a float",
+                                  "not monotone past a float", "not monotone"])
     def test_an_svg_without_an_x_range_leaves_no_file(self, tmp_path, taus):
         path = tmp_path / "out.svg"
         with pytest.raises(InvalidConfig, match="two or more rows"):
             write_svg(path, taus, {"g0": np.ones(len(taus))})
         assert not path.exists()
+
+    def test_a_zero_row_csv_is_its_header_line(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, [], {"g0": [], "discord": None})
+        assert path.read_bytes() == (CSV_HEADER + "\n").encode()
+        cols = read_csv(path)
+        assert list(cols) == list(CSV_COLUMNS)
+        assert all(col.dtype == float and col.shape == (0,) for col in cols.values())
 
     def test_writer_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
         # 4096 and 16384 rows both fill the SVG's M4 cap of ~4 points per pixel column
@@ -453,16 +465,23 @@ class TestSweepBlocks:
         (("discord", "g0"), 2, "both"),
         (("j2", "discord"), 1, "svg"),
         (("concurrence",), 2, "both"),
-    ], ids=["all spin 1", "discord spin 2", "svg alone", "concurrence"])
+        (("g0", "j2", "concurrence", "discord"), 2, "csv"),
+    ], ids=["all spin 1", "discord spin 2", "svg alone", "concurrence", "csv alone"])
     def test_bytes_match_whole_columns(self, tmp_path, n, quantities, measured, fmt):
+        out = tmp_path / "out"  # holds the sweep's files and nothing else
+        out.mkdir()
         cfg = SweepConfig(alpha=0.6, beta=0.8j, b=0.7, tau_bar_start=-0.4, tau_bar_end=5.1,
                           points=n, quantities=quantities, measured_subsystem=measured,
-                          format=fmt, output_path=str(tmp_path / "sweep"))
+                          format=fmt, output_path=str(out / "sweep"))
         paths = run_sweep(cfg)
+        assert sorted(out.iterdir()) == paths == [out / f"sweep.{ext}" for ext in ("csv", "svg")
+                                                  if fmt in (ext, "both")]
         taus, cols = whole_columns(cfg)
-        if fmt == "both":
+        if fmt != "svg":
             ref_write_csv(tmp_path / "ref.csv", taus, cols)
             assert paths[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if fmt == "csv":
+            return
         series = {q: cols[q] for q in ("g0", "j2", "concurrence", "discord") if q in cols}
         svg = paths[-1].read_text()
         ref = ref_polyline_points(taus, series, rows=None if n == 2 else ref_m4_rows)
@@ -505,15 +524,16 @@ class TestSweepBlocks:
     def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
         cfg = dict(alpha=0.6, beta=0.8, b=1.0, points=3 * _BLOCK_ROWS + 7,
                    quantities=("g0", "j2", "concurrence", "discord"), format="both")
-        taus = np.sin(np.linspace(0.0, 20.0, 3 * _BLOCK_ROWS + 7))  # long runs at each turn
+        x = np.linspace(0.0, 20.0, 3 * _BLOCK_ROWS + 7)
+        taus = x - np.sin(x)  # monotone, with long runs where it is flat, at multiples of 2 pi
         series = {"g0": np.cos(5.0 * taus), "j2": np.random.default_rng(5).standard_normal(len(taus))}
         outputs = []
         for rows in (_BLOCK_ROWS, 256):
             monkeypatch.setattr(sweep, "_BLOCK_ROWS", rows)
             paths = run_sweep(SweepConfig(**cfg, output_path=str(tmp_path / f"sweep-{rows}")))
-            write_svg(tmp_path / f"permuted-{rows}.svg", taus, series)
+            write_svg(tmp_path / f"flat-runs-{rows}.svg", taus, series)
             outputs.append([path.read_bytes()
-                            for path in (*paths, tmp_path / f"permuted-{rows}.svg")])
+                            for path in (*paths, tmp_path / f"flat-runs-{rows}.svg")])
         assert outputs[0] == outputs[1]
         polylines = re.findall(rb'<polyline points="([^"]*)"', outputs[0][1])
         assert len(polylines) == 4
