@@ -16,16 +16,11 @@ Each block's CSV text is a uint8 table built by numpy arithmetic, its zero
 bytes (padding) dropped by one compress, so no Python code runs once per
 cell. A cell is repr of the float: _repr_cells converts each distinct
 column of a block once (run_sweep's g2 and gm2 are one array). For
-1e-4 <= |x| < 1e16, y = |x| 10**(16-e) with 10**e <= |x| < 10**(e+1) is one
-rounding of an exact product in np.longdouble, so within 1e17 2**-64 <
-0.0055 of its exact value. The shortest digits are y rounded to a multiple
-of 10**cut for the largest cut (0, 1 or 2: 17, 16 or 15 digits) that lands
-within y / (2 mantissa) of y, the half-width of the interval that rounds to
-x, and are laid out in groups of rows with one decimal-point position. A
-decision within _DIGIT_TOL of its boundary, 14 or fewer digits (powers of
-two among them), zero, tiny and huge values and integers take repr, batched
-per block (about 4 % of sweep values), and so does every value where
-np.longdouble has fewer than 64 significant bits.
+1e-4 <= |x| < 1e16 and 10**e <= |x| < 10**(e+1), Dekker's product gives
+|x| 10**(16-e) = y + err exactly in float64. The digits are y + err rounded to
+a multiple of 10**cut for the largest cut (0, 1, 2: 17, 16, 15 digits) within
+half x's gap to its neighbours, laid out in groups of one point position. Ties,
+<= 14 digits, powers of two, zero, tiny, huge and integer values take repr.
 
 tau_bar must be 1-D and every column finite numbers of its shape
 (linalg.finite_array's rule), and write_csv takes only CSV column names; else
@@ -62,7 +57,7 @@ _BLOCK_ROWS = 4096
 _CELL = 24  # bytes of the longest repr of a float
 _TEXT_ROWS = 1024  # CSV table rows made text at once: its copies stay a quarter block
 _SLOW = 40  # _repr_cells' group of the values that take repr
-_DIGIT_TOL = 0.02  # _repr_cells: a decision this near its boundary takes repr
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 5**20 < 2**53
 SVG_WIDTH, SVG_HEIGHT = 880, 560
 _SVG_LEFT, _SVG_TOP = 72, 18  # the plot box's margins; 18 px on the right, 56 below
 _PLOT_W, _PLOT_H = SVG_WIDTH - _SVG_LEFT - 18, SVG_HEIGHT - _SVG_TOP - 56
@@ -185,7 +180,8 @@ def _write_blocks(csv_path, svg_path, taus: np.ndarray, names: list, blocks) -> 
     CSV columns to a CSV at csv_path, header first, and the series of names through their
     M4 points to an SVG at svg_path after the last block; a path of None skips its file."""
     kept = [(taus[:0], taus[:0])] * len(names)
-    with nullcontext() if csv_path is None else open(csv_path, "w", encoding="ascii") as handle:
+    with nullcontext() if csv_path is None else open(csv_path, "w", encoding="ascii",
+                                                     newline="\n") as handle:
         if handle:
             handle.write(CSV_HEADER + "\n")
         table = None  # one per file: a new table per block faults in its pages each time
@@ -257,29 +253,22 @@ def _text(table: np.ndarray) -> str:
     return str(flat[flat != 0], "ascii")
 
 
-def _long_double_exact() -> bool:
-    """Whether np.longdouble has the 64-bit significand that _repr_cells' error bound needs."""
-    return np.finfo(np.longdouble).nmant >= 63
-
-
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII of 0000..9999 as uint32, then again with trailing "0"s as zero bytes; and
-    10**0..10**20, exact in np.longdouble."""
+def _digit_tables() -> np.ndarray:
+    """The ASCII of 0000..9999 as uint32, then again with trailing "0"s as zero bytes."""
     ascii4 = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
     for j in range(4):
         ascii4[..., j] = np.arange(ord("0"), ord("9") + 1).reshape([-1] + [1] * (3 - j))
     ascii4[1, :, :, :, 0, 3:] = ascii4[1, :, :, 0, 0, 2:] = ascii4[1, :, 0, 0, 0, 1:] = 0
     ascii4[1, 0, 0, 0, 0] = 0
-    pow10 = np.array([float(10**k) for k in range(21)], np.longdouble)
-    return ascii4.view(np.uint32).ravel(), pow10
+    return ascii4.view(np.uint32).ravel()
 
 
 def _repr_cells(v: np.ndarray, out: np.ndarray) -> None:
     """Write repr(float(x)) of each x of the 1-D float64 v into the rows of out, a (len(v),
     _CELL) uint8 array, as ASCII padded with zero bytes (the method: module docstring)."""
     a = np.abs(v)
-    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16)) if _long_double_exact() else np.arange(0)
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e16))
     digits, exp10, slow = _shortest_digits(a[fast])
     fast, point, digits = fast[~slow], exp10[~slow] + 1, digits[~slow]
 
@@ -296,7 +285,7 @@ def _repr_cells(v: np.ndarray, out: np.ndarray) -> None:
         q, chunks[:, j] = np.divmod(q, 10000)
     chunks[:, 0] = q
     chunks[:, 4] += 10000  # the cut digits (cut < 3) are the trailing "0"s of the last chunk
-    text = _digit_tables()[0].take(chunks).view(np.uint8)  # "000" and the 17 digits
+    text = _digit_tables().take(chunks).view(np.uint8)  # "000" and the 17 digits
     cells = np.zeros((len(v), _CELL), np.uint8)
     for g in np.flatnonzero(np.diff(bounds[:_SLOW + 1])):
         c, d = cells[bounds[g]:bounds[g + 1]], text[bounds[g]:bounds[g + 1]]
@@ -315,26 +304,37 @@ def _repr_cells(v: np.ndarray, out: np.ndarray) -> None:
 def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each a from 1e-4 to 1e16, its shortest round-trip digits as a 17-digit integer,
     e with 10**e <= a < 10**(e+1), and whether a takes repr instead."""
-    mant = (np.frexp(a)[0] * 2.0**53).astype(np.int64)
-    exp10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)  # checked by y below
-    y = a.astype(np.longdouble) * _digit_tables()[1].take(16 - exp10)
-    whole = y.astype(np.int64)
-    frac = (y - whole).astype(np.float64)
-    half = whole / mant / 2
+    m, exp2 = np.frexp(a)
+    exp10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)  # checked by whole below
+    p = _POW10.take(16 - exp10)
+    y = a * p
+    (ah, al), (ph, pl) = _split(a), _split(p)
+    err = ((ah * ph - y) + ah * pl + al * ph) + al * pl  # a p = y + err exactly (Dekker)
+    floor = np.floor(err)
+    whole = y.astype(np.int64) + floor.astype(np.int64)  # y >= 1e16 > 2**53 is an integer
+    frac = err - floor
+    half = np.ldexp(p, exp2 - 54)  # half the gap from a to its neighbours, in units of y
+    # below, above: from a p down and up to a multiple of s, less half; < 0 reads back as a.
+    # Exact in sign: frac -+ half is exact (multiples of 2**-47 below 12), as is a sum's sign
     s = np.array([[10], [100], [1000]])
-    lo = whole % s + frac  # from y down and up to the multiples of s around it, exact
-    hi = s - lo
-    tie16 = np.abs(lo[0] - hi[0]) <= 2 * _DIGIT_TOL  # two 16-digit candidates as near
-    dist = np.minimum(lo, hi, out=lo)
-    cut = (dist < half).sum(axis=0)
+    r = whole % s
+    below = r + (frac - half)
+    above = (s - r) - (frac + half)
+    cut = ((below < 0) | (above < 0)).sum(axis=0)
     unit = 10**cut
     r = whole % unit
-    digits = whole - r + unit * (r + frac > unit / 2)
-    # a power of two, whose interval is narrower below, is here an integer or of <= 10 digits
-    slow = ((np.abs(dist - half) <= _DIGIT_TOL).any(axis=0) | (cut == 3) | (cut == 1) & tie16
-            | (cut == 0) & (np.abs(frac - 0.5) <= _DIGIT_TOL)
-            | (whole < 10**16) | (digits >= 10**17) | (np.trunc(a) == a))
-    return digits, exp10, slow
+    up = (r - unit / 2) + frac
+    digits = whole - r + unit * (up > 0)
+    # an equality is a tie that strtod breaks to even; a power of two is nearer below
+    slow = ((below == 0) | (above == 0)).any(axis=0) | (up == 0) | (cut == 3) | (m == 0.5)
+    return digits, exp10, slow | (whole < 10**16) | (digits >= 10**17) | (np.trunc(a) == a)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as hi + lo, each of at most 26 significant bits (Veltkamp)."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
@@ -465,7 +465,7 @@ def _write_svg(path, names: list, taus: np.ndarray, kept: list) -> None:
         f'text-anchor="middle" font-family="sans-serif">tau_bar</text>'
     )
 
-    with open(path, "w", encoding="ascii") as handle:
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.writelines(part + "\n" for part in parts)
         for idx, (name, (x, y)) in enumerate(zip(names, kept)):
             color = _SVG_COLORS.get(name, "#333333")

@@ -334,6 +334,18 @@ class TestBlockWriters:
         assert list(cols) == list(CSV_COLUMNS)
         assert all(col.dtype == float and col.shape == (0,) for col in cols.values())
 
+    def test_lines_end_in_a_line_feed_on_every_os(self, tmp_path, monkeypatch):
+        # text mode writes os.linesep for "\n" unless told otherwise: "\r\n" on Windows
+        def windows_open(*args, newline=None, **kwargs):
+            return open(*args, newline="\r\n" if newline is None else newline, **kwargs)
+
+        monkeypatch.setattr(sweep, "open", windows_open, raising=False)
+        taus = np.linspace(0.0, 1.0, 5)
+        write_csv(tmp_path / "out.csv", taus, {"g0": taus})
+        write_svg(tmp_path / "out.svg", taus, {"g0": taus})
+        for name in ("out.csv", "out.svg"):
+            assert b"\r" not in (tmp_path / name).read_bytes()
+
     def test_writer_memory_does_not_grow_with_the_row_count(self, tmp_path, monkeypatch):
         # 4096 and 16384 rows both fill the SVG's M4 cap of ~4 points per pixel column
         monkeypatch.setattr(sweep, "_BLOCK_ROWS", 256)
@@ -365,9 +377,10 @@ def kernel_rows(v):
     return out
 
 
-#: either side of each edge of the CSV kernel's fast class, and values it leaves to repr
-EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, 2.0**53, 3.0, 0.5, 0.1, 1e22,
-               1.7976931348623157e308]
+#: either side of each edge of the CSV kernel's fast class and of each power of ten in it, and
+#: values it leaves to repr
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.0**53, 3.0, 0.5, 0.1, 1e22,
+               *(float(f"1e{k}") for k in range(-4, 17)), 1.7976931348623157e308]
 FLOATS = st.builds(lambda x, negative: -x if negative else x, st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(1e-5, 1e17),
@@ -376,6 +389,10 @@ FLOATS = st.builds(lambda x, negative: -x if negative else x, st.one_of(
     st.integers(-1074, 1023).map(lambda k: 2.0**k),
     st.integers(-(2**53), 2**53).map(float),
     st.builds(round, st.floats(-1e6, 1e6), st.integers(0, 8)),
+    # decimals of 15, 16 and 17 significant digits, and of 17 ending in 5
+    st.builds("{}e{}".format, st.integers(10**14, 10**17 - 1)
+              | st.integers(10**15, 10**16 - 1).map(lambda n: 10 * n + 5),
+              st.integers(-21, 0)).map(float),
 ), st.booleans())
 
 
@@ -396,30 +413,26 @@ class TestCellKernels:
             rng.standard_normal(n // 4) * 10.0 ** rng.integers(-6, 18, n // 4),
             np.sin(np.linspace(-9.0, 9.0, n // 4)) ** 2 * rng.choice([1.0, -3.7, 250.0], n // 4),
             rng.integers(-(2**63), 2**63, n // 4, dtype=np.int64).view(np.float64),
+            rng.integers(10**14, 10**17, n // 4) / 10.0 ** rng.integers(0, 21, n // 4),
         ])
         v = v[np.isfinite(v)]
         for rows in range(0, len(v), _BLOCK_ROWS):
             block = v[rows:rows + _BLOCK_ROWS]
             assert (kernel_rows(block) == repr_rows(block)).all(), rows
 
+    def test_few_sweep_cells_take_repr(self):
+        # exact decisions leave repr the ties, short digits and integers: ~1 % of a column
+        taus = np.linspace(0.0, math.pi, _BLOCK_ROWS)
+        for v in (taus, np.sin(2 * taus) ** 2, np.cos(2 * taus) ** 2, np.abs(np.sin(2 * taus))):
+            slow = sweep._shortest_digits(v[(v >= 1e-4) & (v < 1e16)])[2]
+            assert slow.mean() <= 0.02, slow.mean()
+
     def test_powers_of_ten_and_digits_are_exact(self):
-        ascii4, pow10 = sweep._digit_tables()
-        exact = [Fraction(10)**k for k in range(21)]
-        assert [Fraction(*x.as_integer_ratio()) for x in pow10] == exact
-        table = ascii4.view(np.uint8).reshape(2, 10000, 4)
+        assert [Fraction(x) for x in sweep._POW10.tolist()] == [Fraction(10)**k for k in range(21)]
+        table = sweep._digit_tables().view(np.uint8).reshape(2, 10000, 4)
         assert [row.tobytes() for row in table[0]] == [b"%04d" % i for i in range(10000)]
         assert [row.tobytes() for row in table[1]] == [(b"%04d" % i).rstrip(b"0").ljust(4, b"\0")
                                                        for i in range(10000)]
-
-    def test_a_narrow_long_double_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(7)
-        n = _BLOCK_ROWS + 5
-        taus = np.linspace(0.0, 3.0, n)
-        columns = {"g0": mixed_floats(rng, n), "j2": np.sin(taus) ** 2}
-        write_csv(tmp_path / "wide", taus, columns)
-        monkeypatch.setattr(sweep, "_long_double_exact", lambda: False)
-        write_csv(tmp_path / "narrow", taus, columns)
-        assert (tmp_path / "wide").read_bytes() == (tmp_path / "narrow").read_bytes()
 
     @pytest.mark.parametrize("taus, series", [
         (np.linspace(3.0, -1.0, 9), {"g0": np.linspace(0.0, 1.0, 9)}),
