@@ -160,7 +160,7 @@ def _load_config_file(path: str, keys: set) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise InvalidConfig(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config file {path}: expected a JSON object")

@@ -2,7 +2,7 @@
 
 The CSV schema is fixed: header "tau_bar,g0,g2,gm2,j2,concurrence,discord",
 one row per uniformly spaced tau_bar, unrequested columns left empty.
-Floats are written with repr, i.e. the shortest decimal that round-trips,
+Floats are written with repr, the shortest decimal that round-trips,
 so identical configurations produce byte-identical files.
 
 run_sweep, write_csv and write_svg feed one loop, _write_blocks, with the
@@ -10,7 +10,7 @@ _row_blocks slices of their columns; run_sweep evaluates each requested closed
 form once per block, so tau_bar is its only array of 8 B per row. The SVG keeps
 the M4 points of each series (Jugel et al., PVLDB 7(10), 797, 2014), which draw
 like every row at its pixel width: at most 4 per pixel column, and every row
-where a column holds at most two (a linspace of up to 1580 rows).
+where a column holds at most two.
 
 Each block's CSV text is a uint8 table built by numpy arithmetic, its zero
 bytes (padding) dropped by one compress, so no Python code runs once per
@@ -26,8 +26,8 @@ tau_bar must be 1-D and every column finite numbers of its shape
 (linalg.finite_array's rule), and write_csv takes only CSV column names; else
 InvalidConfig, naming the column, before the file is opened, as for an SVG of
 fewer than two rows, of a tau_bar not monotone, of equal first and last tau_bar,
-or of a tau_bar span or y range wider than a float; legend names are escaped
-for XML. read_csv is one np.loadtxt parse fed by a check of each line's width.
+of a tau_bar span or y range wider than a float, or of a legend name outside
+XML's Char. read_csv is one np.loadtxt parse, each line's width checked.
 """
 
 from __future__ import annotations
@@ -384,6 +384,9 @@ def write_svg(path, taus, series: dict[str, np.ndarray]) -> None:
         raise InvalidConfig(f"an SVG plot needs two or more rows of tau_bar in monotone order, "
                             f"with distinct first and last values and a span finite as a "
                             f"float, got {len(taus)} rows{ends}")
+    for name in series:  # not XML 1.0 Chars: C0 controls but tab, LF, CR; surrogates; U+FFFE/F
+        if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", str(name)):
+            raise InvalidConfig(f"series {name!r}: a legend name XML cannot carry")
     _write_blocks(None, path, taus, list(series), ({name: col[rows] for name, col in series.items()}
                                                    for rows in _row_blocks(len(taus))))
 
@@ -417,7 +420,6 @@ def _write_svg(path, names: list, taus: np.ndarray, kept: list) -> None:
     """The SVG of one polyline per series of names, in plot order, through its kept
     points (x, y), on the x axis of taus, whose ends differ."""
     ml, mt, plot_w, plot_h = _SVG_LEFT, _SVG_TOP, _PLOT_W, _PLOT_H
-    x_lo, x_hi = float(taus[0]), float(taus[-1])
 
     # the y range spans 0 and every series; with no series, hi - lo is -inf below
     lo = min([0.0, *(float(np.min(y)) for _, y in kept)])
@@ -429,49 +431,36 @@ def _write_svg(path, names: list, taus: np.ndarray, kept: list) -> None:
     if not math.isfinite(y_hi - y_lo):  # so are y_lo and y_hi
         raise InvalidConfig(f"an SVG plot needs a y range finite when padded by 5 %, got {lo!r} "
                             f"to {hi!r}")
-    sx = functools.partial(_sx, taus=taus)
 
     def sy(y):
         return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
-        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#444444" stroke-width="1"/>',
-    ]
-    for xv in np.linspace(x_lo, x_hi, 6):
-        xpx = sx(xv)
-        parts.append(
-            f'<line x1="{xpx:.2f}" y1="{mt + plot_h}" x2="{xpx:.2f}" '
-            f'y2="{mt + plot_h + 5}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{xpx:.2f}" y="{mt + plot_h + 20}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{xv:.4g}</text>'
-        )
-    for yv in np.linspace(y_lo, y_hi, 6):
-        ypx = sy(yv)
-        parts.append(
-            f'<line x1="{ml - 5}" y1="{ypx:.2f}" x2="{ml}" y2="{ypx:.2f}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8}" y="{ypx:.2f}" font-size="12" text-anchor="end" '
-            f'dominant-baseline="middle" font-family="sans-serif">{yv:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{ml + plot_w / 2:.2f}" y="{SVG_HEIGHT - 14}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">tau_bar</text>'
-    )
+    # six ticks per axis, each a line and a label at one pixel position
+    xv, yv = np.linspace(float(taus[0]), float(taus[-1]), 6), np.linspace(y_lo, y_hi, 6)
+    x_ticks = _format_block(
+        f'<line x1="%.2f" y1="{mt + plot_h}" x2="%.2f" y2="{mt + plot_h + 5}" stroke="#444444"/>\n'
+        f'<text x="%.2f" y="{mt + plot_h + 20}" font-size="12" text-anchor="middle" '
+        f'font-family="sans-serif">%.4g</text>\n', [_sx(xv, taus)] * 3 + [xv])
+    y_ticks = _format_block(
+        f'<line x1="{ml - 5}" y1="%.2f" x2="{ml}" y2="%.2f" stroke="#444444"/>\n'
+        f'<text x="{ml - 8}" y="%.2f" font-size="12" text-anchor="end" '
+        f'dominant-baseline="middle" font-family="sans-serif">%.4g</text>\n', [sy(yv)] * 3 + [yv])
 
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.writelines(part + "\n" for part in parts)
+        handle.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+            f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">\n'
+            f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>\n'
+            f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
+            f'fill="none" stroke="#444444" stroke-width="1"/>\n{x_ticks}{y_ticks}'
+            f'<text x="{ml + plot_w / 2:.2f}" y="{SVG_HEIGHT - 14}" font-size="13" '
+            f'text-anchor="middle" font-family="sans-serif">tau_bar</text>\n'
+        )
         for idx, (name, (x, y)) in enumerate(zip(names, kept)):
             color = _SVG_COLORS.get(name, "#333333")
             label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             label = label.encode("ascii", "xmlcharrefreplace").decode("ascii")
-            points = _format_block("%.2f,%.2f ", [sx(x), sy(y)])[:-1]
+            points = _format_block("%.2f,%.2f ", [_sx(x, taus), sy(y)])[:-1]
             ly = mt + 16 + 18 * idx
             handle.write(
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'

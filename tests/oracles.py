@@ -264,14 +264,11 @@ def ref_m4_rows(px, y):
     return rows
 
 
-def ref_polyline_points(taus, series, width=880, height=560, rows=None):
-    """The points attribute of each SVG polyline, point by point with scalar
-    arithmetic: the y range spans every series and 0, padded by 5 %. rows(px, y),
-    if given, picks the rows a polyline draws from its pixel columns px, the
-    floor of each x coordinate, and its values y."""
+def _ref_axes(taus, series, width=880, height=560):
+    """The pixel maps sx and sy of the plot box and the padded y range: it spans every
+    series and 0, padded by 5 %."""
     ml, mr, mt, mb = 72, 18, 18, 56
     plot_w, plot_h = width - ml - mr, height - mt - mb
-    taus = np.asarray(taus, dtype=float)
     x_lo, x_hi = float(taus[0]), float(taus[-1])
     y_lo = min(0.0, min(float(np.min(v)) for v in series.values()))
     y_hi = max(float(np.max(v)) for v in series.values())
@@ -286,6 +283,15 @@ def ref_polyline_points(taus, series, width=880, height=560, rows=None):
     def sy(y):
         return mt + (y_hi - y) / (y_hi - y_lo) * plot_h
 
+    return sx, sy, y_lo, y_hi
+
+
+def ref_polyline_points(taus, series, width=880, height=560, rows=None):
+    """The points attribute of each SVG polyline, point by point with scalar
+    arithmetic, on _ref_axes. rows(px, y), if given, picks the rows a polyline draws
+    from its pixel columns px, the floor of each x coordinate, and its values y."""
+    taus = np.asarray(taus, dtype=float)
+    sx, sy, _, _ = _ref_axes(taus, series, width, height)
     lines = []
     for values in series.values():
         values = np.asarray(values, dtype=float).tolist()
@@ -293,4 +299,32 @@ def ref_polyline_points(taus, series, width=880, height=560, rows=None):
         if rows is not None:
             drawn = rows([math.floor(sx(x)) for x in taus.tolist()], values)
         lines.append(" ".join(f"{sx(taus[i]):.2f},{sy(values[i]):.2f}" for i in drawn))
+    return lines
+
+
+def ref_svg_frame(taus, series):
+    """The SVG's lines before its first polyline, element by element on _ref_axes: the
+    header, the background and plot box, six x and six y ticks, each a line and a label,
+    and the tau_bar axis label."""
+    taus = np.asarray(taus, dtype=float)
+    sx, sy, y_lo, y_hi = _ref_axes(taus, series)
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="880" height="560" '
+        'viewBox="0 0 880 560">',
+        '<rect x="0" y="0" width="880" height="560" fill="white"/>',
+        '<rect x="72" y="18" width="790" height="486" fill="none" stroke="#444444" '
+        'stroke-width="1"/>',
+    ]
+    for xv in np.linspace(taus[0], taus[-1], 6).tolist():
+        lines.append(f'<line x1="{sx(xv):.2f}" y1="504" x2="{sx(xv):.2f}" y2="509" '
+                     'stroke="#444444"/>')
+        lines.append(f'<text x="{sx(xv):.2f}" y="524" font-size="12" text-anchor="middle" '
+                     f'font-family="sans-serif">{xv:.4g}</text>')
+    for yv in np.linspace(y_lo, y_hi, 6).tolist():
+        lines.append(f'<line x1="67" y1="{sy(yv):.2f}" x2="72" y2="{sy(yv):.2f}" '
+                     'stroke="#444444"/>')
+        lines.append(f'<text x="64" y="{sy(yv):.2f}" font-size="12" text-anchor="end" '
+                     f'dominant-baseline="middle" font-family="sans-serif">{yv:.4g}</text>')
+    lines.append('<text x="467.00" y="546" font-size="13" text-anchor="middle" '
+                 'font-family="sans-serif">tau_bar</text>')
     return lines

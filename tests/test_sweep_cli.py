@@ -22,7 +22,7 @@ from mqdimer import sweep
 from mqdimer.errors import InvalidConfig
 from mqdimer.sweep import _BLOCK_ROWS, CSV_COLUMNS, CSV_HEADER, read_csv, write_csv, write_svg
 
-from oracles import ref_m4_rows, ref_polyline_points, ref_write_csv
+from oracles import ref_m4_rows, ref_polyline_points, ref_svg_frame, ref_write_csv
 
 ISQ = 1.0 / math.sqrt(2.0)
 
@@ -311,10 +311,16 @@ class TestBlockWriters:
         assert not path.exists()
 
     def test_svg_legend_names_are_escaped(self, tmp_path):
-        names = ["a<b & c", "x > y", "&amp;", "τ"]
+        names = ["a<b & c", "x > y", "&amp;", "τ", "tab\there", "\x7f", "\ufffd", "\U00010000"]
         write_svg(tmp_path / "out.svg", [0.0, 1.0], {name: [0.0, 1.0] for name in names})
         texts = ElementTree.parse(tmp_path / "out.svg").iter("{http://www.w3.org/2000/svg}text")
-        assert [text.text for text in texts][-4:] == names
+        assert [text.text for text in texts][-len(names):] == names
+        # a C0 control but tab, LF and CR, a surrogate, U+FFFE or U+FFFF: no XML 1.0 Char
+        for name in ["a\x01b", "\x0c", "\ud800", "\ufffe"]:
+            path = tmp_path / "bad.svg"
+            with pytest.raises(InvalidConfig, match=re.escape(f"series {name!r}: ")):
+                write_svg(path, [0.0, 1.0], {"g0": [0.0, 1.0], name: [0.0, 1.0]})
+            assert not path.exists()
 
     @pytest.mark.parametrize("taus", [[], [0.5], [0.5, 0.5], [-1e308, 0.0, 1e308],
                                       [0.0, 1e300, 1e-300], [0.0, 2.0, 1.0]],
@@ -442,6 +448,20 @@ class TestCellKernels:
         write_svg(tmp_path / "out.svg", taus, series)
         ref = ref_polyline_points(taus, series)
         assert re.findall(r'<polyline points="([^"]*)"', (tmp_path / "out.svg").read_text()) == ref
+
+    @pytest.mark.parametrize("taus, series", [
+        (np.linspace(3.0, -1.0, 9), {"g0": np.linspace(0.0, 1.0, 9)}),
+        (np.linspace(0.0, 1.0, 9), {"j2": np.linspace(-2.5e5, 1e-3, 9)}),
+        (np.linspace(0.0, 1.0, 9), {"concurrence": np.zeros(9)}),
+        (np.linspace(0.25, 0.25 + 1e-9, 9), {"g0": np.sin(np.arange(9.0))}),
+        (np.linspace(0.0, math.pi, 33), {"j2": np.cos(np.linspace(0.0, math.pi, 33)) ** 2,
+                                         "discord": np.linspace(0.0, 0.3, 33)}),
+    ], ids=["decreasing tau_bar", "negative y range", "flat zero", "narrow tau_bar span",
+            "two series"])
+    def test_svg_frame_matches_reference(self, tmp_path, taus, series):
+        write_svg(tmp_path / "out.svg", taus, series)
+        frame = (tmp_path / "out.svg").read_text().partition("<polyline")[0]
+        assert frame.splitlines() == ref_svg_frame(taus, series)
 
     @pytest.mark.parametrize("series", [
         {"g0": [-1e308, 0.0, 1e308, 1.0, 0.5]},
@@ -693,7 +713,9 @@ class TestPresetBytes:
     """sha256 of the preset CSVs, so that a last-bit drift across commits shows.
 
     Criterion 9 only compares two runs of one build. The digests hold for
-    numpy 2.4 on x86-64 Linux; the fig2 one also depends on its LAPACK.
+    numpy 2.4 on x86-64 Linux. Every column of both presets is a closed form,
+    with no eigensolve, so the digests depend on numpy's elementwise sin, cos
+    and log.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -788,6 +810,11 @@ class TestCliProcess:
         assert main(["sweep", "--config", str(cfg_file)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"config file {cfg_file}: expected a JSON object" in err
+        cfg_file.write_text('{"b": ' + "[" * 1000 + "]" * 1000 + "}")  # past json's recursion limit
+        assert main(["sweep", "--config", str(cfg_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: config file {cfg_file}: ")
+        assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_non_finite_tau_bar_exit_code(self, capsys):
