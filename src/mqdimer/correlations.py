@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVector
-from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _checked_state, _entropy_bits, _number,
-                     _numbers, _spin_label, finite_array)
+from .linalg import (ID2, PAULI_X, PAULI_Y, PAULI_Z, _binary_entropy, _checked_state, _entropy_bits,
+                     _number, _numbers, _spin_label, finite_array)
 
 UNIT_TOL = 1e-12
 OUTCOME_FLOOR = 1e-14
@@ -129,10 +129,8 @@ def _cond_entropy_core(basis: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     ok = pk > OUTCOME_FLOOR
     g = twice[:, 1:]
     ratio = 0.5 * np.sqrt(np.einsum("ni,ni->n", g, g)) / np.where(ok, twice[:, 0], 1.0)
-    hi = 0.5 + np.minimum(ratio, 0.5)
-    lo = 1.0 - hi
-    bits = -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
-    terms = np.where(ok, pk * bits, 0.0)
+    lo = 1.0 - (0.5 + np.minimum(ratio, 0.5))
+    terms = np.where(ok, pk * _binary_entropy(lo), 0.0)
     return np.maximum(terms[: len(dirs)] + terms[len(dirs) :], 0.0)
 
 
@@ -209,7 +207,7 @@ def _minimize(basis: np.ndarray):
 
 def _entropies(table: np.ndarray, spectrum: np.ndarray) -> tuple[float, ...]:
     # (S(rho_1), S(rho_2), S(rho)); a spin of Bloch vector v has eigenvalues (1 -/+ |v|) / 2
-    s1, s2 = (_entropy_bits(0.5 * (bloch[0] + np.linalg.norm(bloch[1:]) * np.array([-1.0, 1.0])))
+    s1, s2 = (float(_binary_entropy(max(0.0, 0.5 * (bloch[0] - np.linalg.norm(bloch[1:])))))
               for bloch in (table[:, 0], table[0]))
     return s1, s2, _entropy_bits(spectrum)
 

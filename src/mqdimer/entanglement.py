@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from .dimer import DimerParams, _deviation, _polarization, initial_polarization, param_tau_bar
-from .linalg import (PAULI_Y, _checked_state, _finite_matrix, _spin_label, as_float, finite_array,
-                     kron)
+from .linalg import (PAULI_Y, _binary_entropy, _checked_state, _finite_matrix, _spin_label,
+                     as_float, finite_array, kron)
 
 SPIN_FLIP_KERNEL = kron(PAULI_Y, PAULI_Y)
 
@@ -101,8 +101,3 @@ def _deficit(x):
     low = np.minimum(x, 0.5)
     small = (2.0 * low * np.arctanh(low) + np.log1p(-low * low)) / (2.0 * math.log(2.0))
     return np.where(x <= 0.5, small, 1.0 - _binary_entropy(0.5 * (1.0 - x)))
-
-
-def _binary_entropy(x):
-    # h(x) in bits for 0 <= x <= 1/2, with 0 log 0 = 0
-    return -(x * np.log(np.where(x > 0.0, x, 1.0)) + (1.0 - x) * np.log1p(-x)) / math.log(2.0)

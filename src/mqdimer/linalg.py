@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import reprlib
 
 import numpy as np
@@ -166,6 +167,11 @@ def _entropy_bits(spectrum: np.ndarray) -> float:
     probs = np.clip(spectrum, 0.0, None)
     probs = probs[probs > 0.0]
     return max(0.0, float(-(probs * np.log2(probs)).sum()))
+
+
+def _binary_entropy(x):
+    # h(x) in bits for 0 <= x <= 1/2, with 0 log 0 = 0 (and h(0) = +0.0)
+    return (x * -np.log(np.where(x > 0.0, x, 1.0)) - (1.0 - x) * np.log1p(-x)) / math.log(2.0)
 
 
 def von_neumann_entropy(rho) -> float:

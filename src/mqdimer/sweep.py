@@ -339,9 +339,10 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def read_csv(path) -> dict[str, np.ndarray | None]:
     """The columns of a sweep CSV as views of one table from one np.loadtxt parse, None for
-    a column empty in the first row. InvalidConfig at the file's first fault: a wrong header,
-    a non-ASCII byte, a row not of 7 cells, or a cell of a column filled in the first row
-    that is empty, non-numeric or non-finite, named with its row (from 1)."""
+    a column other than tau_bar empty in the first row. InvalidConfig at the file's first
+    fault: a wrong header, a non-ASCII byte, a row not of 7 cells, an empty tau_bar in row 1,
+    or a cell of a column filled in the first row that is empty, non-numeric or non-finite,
+    named with its row (from 1)."""
     try:
         with open(path, encoding="ascii", newline="") as handle:
             # lines broken where str.splitlines breaks them, as when the text was read whole
@@ -352,6 +353,8 @@ def read_csv(path) -> dict[str, np.ndarray | None]:
             if first is None:  # loadtxt warns on no rows
                 return {name: np.empty(0) for name in CSV_COLUMNS}
             filled = [j for j, cell in enumerate(first.split(",")) if cell]
+            if 0 not in filled:
+                raise InvalidConfig(f"empty cell in column tau_bar of {path}, row 1")
 
             def rows():  # each checked, as loadtxt skips cells beyond usecols
                 for row, line in enumerate(chain([first], lines), 1):
@@ -458,7 +461,8 @@ def _write_svg(path, names: list, taus: np.ndarray, kept: list) -> None:
         )
         for idx, (name, (x, y)) in enumerate(zip(names, kept)):
             color = _SVG_COLORS.get(name, "#333333")
-            label = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            label = (str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                     .replace("\r", "&#13;"))  # XML reads a raw CR as LF
             label = label.encode("ascii", "xmlcharrefreplace").decode("ascii")
             points = _format_block("%.2f,%.2f ", [_sx(x, taus), sy(y)])[:-1]
             ly = mt + 16 + 18 * idx

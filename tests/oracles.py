@@ -9,9 +9,8 @@ writers' references format one row or one point at a time, and ref_m4_rows
 picks a plot's rows with a scalar loop over the runs.
 eig_general_moduli gives the concurrence spectrum through a general
 (non-Hermitian) eigensolver. rank2_min_cond_entropy gives the minimal
-conditional entropy of a rank <= 2 state in closed form, where the library
-searches over measurement directions. The one name taken from mqdimer is the
-error type that eig_general_moduli raises.
+conditional entropy of a rank <= 2 state in closed form. From mqdimer come
+an error type and optimizer_discord's optimizer and mutual_information.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
+from mqdimer import minimize_conditional_entropy, mutual_information
 from mqdimer.errors import SpectrumNotReal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,6 +43,15 @@ def ref_entropy_bits(rho):
     w = np.clip(w, 0.0, None)
     w = w[w > 0]
     return max(0.0, float(-(w * np.log2(w)).sum()))
+
+
+def optimizer_discord(rho, measured=2):
+    """Discord q of rho measuring spin `measured`, from the optimizer: the mutual
+    information less the unmeasured spin's entropy (partial trace and eigensolve here)
+    plus minimize_conditional_entropy's minimum. As in discord, q in [-1e-9, 0) is 0."""
+    _, min_ce = minimize_conditional_entropy(rho, measured)
+    q = mutual_information(rho) - ref_entropy_bits(ref_partial_trace(rho, 3 - measured)) + min_ce
+    return 0.0 if -1e-9 <= q < 0.0 else q
 
 
 def eig_general_moduli(m):

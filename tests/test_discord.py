@@ -31,6 +31,7 @@ from oracles import (
     bloch_conditional_entropy,
     haar_unitary,
     lifted_conditional_entropy,
+    optimizer_discord,
     random_amplitudes,
     random_density_matrix,
     random_directions,
@@ -584,6 +585,7 @@ def rank2_audit_states() -> dict:
 RANK2_AUDIT_STATES = rank2_audit_states()
 
 
+@pytest.mark.optimizer
 class TestClosedFormAudit:
     """The optimizer against the Koashi-Winter closed form of the minimal conditional
     entropy on rank <= 2 states, measuring either spin. The closed form is the minimum
@@ -649,6 +651,7 @@ class TestDiscordCurve:
     """discord_curve, the closed form of the evolved pair's discord, against the optimizer,
     the rank <= 2 oracle, high-precision values and the paper's high-temperature law."""
 
+    @pytest.mark.optimizer
     def test_matches_the_optimizer(self):
         rng = np.random.default_rng(2111)
         for _ in range(200):
@@ -656,7 +659,8 @@ class TestDiscordCurve:
             taus = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3)
             for measured in (1, 2):
                 curve = discord_curve(p, tau_bar=taus, measured=measured)
-                optimized = [discord(evolve_analytic(p, tau_bar=tb), measured).q for tb in taus.tolist()]
+                optimized = [optimizer_discord(evolve_analytic(p, tau_bar=tb), measured)
+                             for tb in taus.tolist()]
                 assert np.abs(curve - optimized).max() <= 5e-14, (p, taus, measured)
 
     def test_minimum_matches_the_rank2_oracle(self):

@@ -311,7 +311,7 @@ def test_import_layers_and_one_home_for_the_number_rule():
     assert imports["sweep"] <= {"coherence", "dimer", "entanglement", "errors", "linalg"}
     assert [name for name, deps in imports.items() if "cli" in deps] == ["__main__"]
 
-    for rule in ("_numbers", "_number", "finite_array", "as_float", "_integer"):
+    for rule in ("_numbers", "_number", "finite_array", "as_float", "_integer", "_binary_entropy"):
         homes = [name for name, tree in trees.items()
                  if any(isinstance(node, ast.FunctionDef) and node.name == rule for node in tree.body)]
         assert homes == ["linalg"], rule

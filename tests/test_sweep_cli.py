@@ -311,7 +311,8 @@ class TestBlockWriters:
         assert not path.exists()
 
     def test_svg_legend_names_are_escaped(self, tmp_path):
-        names = ["a<b & c", "x > y", "&amp;", "τ", "tab\there", "\x7f", "\ufffd", "\U00010000"]
+        names = ["a<b & c", "x > y", "&amp;", "τ", "tab\there", "\x7f", "\ufffd", "\U00010000",
+                 "a\rb", "a\r\nb"]
         write_svg(tmp_path / "out.svg", [0.0, 1.0], {name: [0.0, 1.0] for name in names})
         texts = ElementTree.parse(tmp_path / "out.svg").iter("{http://www.w3.org/2000/svg}text")
         assert [text.text for text in texts][-len(names):] == names
@@ -598,8 +599,10 @@ class TestReadCsv:
         ["0.0,1.0,,,,,", "0.5,1.0#x,,,,,"],
         ["0.0,1.0,,,,,", "0.5,\u00e9,,,,,"],
         ["0.0,1_000,,,,,"],
+        [",1.0,,,,,", ",2.0,,,,,"],
+        [",,,,,,", "0.5,1.0,,,,,"],
     ], ids=["ragged", "eight cells", "word", "hex float", "nan", "inf", "eight cells after seven",
-            "hash in a cell", "non-ASCII", "underscore"])
+            "hash in a cell", "non-ASCII", "underscore", "no tau_bar", "no cell in row 1"])
     def test_malformed_rows_raise_invalid_config(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
@@ -621,11 +624,12 @@ class TestReadCsv:
         (["0.0,1.0,,,,,", "0.5,1.0,,,,,", "1.0,,,,,,"],
          "empty or non-numeric cell in column g0 of .*, row 3$"),
         (["0.0,one,,,,,", "0.5,1.0,,,,,", "1.0,,,,,,"], "non-numeric cell in column g0 of .*, row 1$"),
+        ([",1.0,,,,,", "0.5,1.0,,,,,", "1.0,1.0,,,,"], "empty cell in column tau_bar of .*, row 1$"),
         # a column empty in its first row reads as None whatever follows, until the benchmark's
         # sweep check no longer depends on it (ROADMAP item 1b, then item 6)
         (["0.0,,,,,,", "0.5,1.0,,,,,", "1.0,1.0,,,,,"], None),
     ], ids=["ragged", "ragged before a word", "eight cells", "eight cells after seven", "inf",
-            "empty", "empty after a word", "filled after empty"])
+            "empty", "empty after a word", "no tau_bar before ragged", "filled after empty"])
     def test_a_later_block_reads_as_in_the_whole_file(self, tmp_path, rows, outcome):
         # a fault in a later row is found as in the first, and the first fault of the file wins
         path = tmp_path / "blocks.csv"
